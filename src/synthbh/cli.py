@@ -20,9 +20,7 @@ results.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
-import json
 import math
 import secrets
 import sys
@@ -33,14 +31,13 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .conformal import JitterSpec, ScoreBundle, apply_jitter, conformal_pvalues, \
-    detect_outliers, merged_conformal_pvalues, trim_by_score
-from .simulate import METHOD_NAMES, SimConfig, run_bernoulli_experiment, \
+    merged_conformal_pvalues, trim_by_score
+from .simulate import SimConfig, check_outlier_experiment, run_bernoulli_experiment, \
     run_outlier_experiment
 from .stepup import StepUpConfig, synth_bh, weighted_synth_bh
-
-EXIT_OK = 0
-EXIT_VALIDATION = 2
-EXIT_IO = 3
+# EXIT_IO, EXIT_VALIDATION and read_result_table stay importable from here.
+from .tables import EXIT_IO, EXIT_OK, EXIT_VALIDATION, ROWS, CliError, read_pvalue_table, \
+    read_result_table, read_role_scores, read_single_column, write_json, write_table  # noqa: F401
 
 NAIVE_BENCH_CAP = 20_000
 
@@ -54,14 +51,6 @@ _OUTLIER_SWEEP_FIELDS = {
     "outlier_frac": float, "contamination_frac": float, "rho": float,
     "alpha": float, "epsilon": float, "mu_out": float,
 }
-
-
-class CliError(Exception):
-    """Failure with a user-facing message and a process exit code."""
-
-    def __init__(self, message: str, exit_code: int = EXIT_VALIDATION) -> None:
-        super().__init__(message)
-        self.exit_code = exit_code
 
 
 @dataclass(frozen=True)
@@ -83,193 +72,12 @@ class RunManifest:
     options: Mapping = field(default_factory=dict)
 
 
-def _fmt_float(x) -> str:
-    return format(float(x), ".17g")
-
-
 def _resolve_seed(seed: int | None) -> int:
     if seed is not None:
         return seed
     drawn = secrets.randbits(63)
     print(f"seed={drawn}", file=sys.stderr)
     return drawn
-
-
-# ---------------------------------------------------------------------------
-# CSV ingestion with row/column diagnostics.
-# ---------------------------------------------------------------------------
-
-
-def _open_rows(path: str):
-    try:
-        with open(path, newline="") as handle:
-            return list(csv.reader(handle))
-    except OSError as exc:
-        raise CliError(f"{path}: {exc.strerror or exc}", EXIT_IO) from exc
-
-
-def _parse_cell(path: str, row_num: int, column: str, text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise CliError(
-            f"{path}: row {row_num}, column {column!r}: not a number: {text!r}"
-        ) from None
-    if not math.isfinite(value):
-        raise CliError(
-            f"{path}: row {row_num}, column {column!r}: non-finite value {text!r}"
-        )
-    return value
-
-
-def _parse_probability_cell(path: str, row_num: int, column: str, text: str) -> float:
-    value = _parse_cell(path, row_num, column, text)
-    if not (0 <= value <= 1):
-        raise CliError(
-            f"{path}: row {row_num}, column {column!r}: "
-            f"value {text} outside [0, 1]"
-        )
-    return value
-
-
-def read_pvalue_table(path: str):
-    """Read ``id,p_real,p_synth[,weight]`` rows.
-
-    Returns (ids, pairs array of shape (m, 2), weights array or None).
-    """
-    rows = _open_rows(path)
-    if not rows:
-        raise CliError(f"{path}: empty file")
-    header = [h.strip() for h in rows[0]]
-    required = ["id", "p_real", "p_synth"]
-    if header != required and header != required + ["weight"]:
-        raise CliError(
-            f"{path}: expected header id,p_real,p_synth[,weight], "
-            f"got {','.join(header)}"
-        )
-    has_weight = len(header) == 4
-    ids: list[str] = []
-    pairs: list[tuple[float, float]] = []
-    weights: list[float] = []
-    for offset, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise CliError(
-                f"{path}: row {offset}: expected {len(header)} fields, got {len(row)}"
-            )
-        ids.append(row[0])
-        p = _parse_probability_cell(path, offset, "p_real", row[1])
-        q = _parse_probability_cell(path, offset, "p_synth", row[2])
-        pairs.append((p, q))
-        if has_weight:
-            w = _parse_cell(path, offset, "weight", row[3])
-            if w < 0:
-                raise CliError(
-                    f"{path}: row {offset}, column 'weight': negative value {row[3]}"
-                )
-            weights.append(w)
-    if not ids:
-        raise CliError(f"{path}: no data rows")
-    return ids, np.array(pairs), (np.array(weights) if has_weight else None)
-
-
-def read_single_column(path: str, column: str) -> np.ndarray:
-    """Read a one-column CSV whose header names ``column``."""
-    rows = _open_rows(path)
-    if not rows:
-        raise CliError(f"{path}: empty file")
-    header = [h.strip() for h in rows[0]]
-    if header != [column]:
-        raise CliError(f"{path}: expected header {column!r}, got {','.join(header)}")
-    values = []
-    for offset, row in enumerate(rows[1:], start=2):
-        if len(row) != 1:
-            raise CliError(f"{path}: row {offset}: expected 1 field, got {len(row)}")
-        values.append(_parse_cell(path, offset, column, row[0]))
-    return np.array(values)
-
-
-def read_role_scores(path: str) -> dict[str, np.ndarray]:
-    """Read a ``role,score`` CSV; roles are real, synth, or test."""
-    rows = _open_rows(path)
-    if not rows:
-        raise CliError(f"{path}: empty file")
-    header = [h.strip() for h in rows[0]]
-    if header != ["role", "score"]:
-        raise CliError(f"{path}: expected header role,score, got {','.join(header)}")
-    scores: dict[str, list[float]] = {"real": [], "synth": [], "test": []}
-    for offset, row in enumerate(rows[1:], start=2):
-        if len(row) != 2:
-            raise CliError(f"{path}: row {offset}: expected 2 fields, got {len(row)}")
-        role = row[0].strip()
-        if role not in scores:
-            raise CliError(
-                f"{path}: row {offset}, column 'role': "
-                f"unknown role {row[0]!r} (expected real, synth, or test)"
-            )
-        scores[role].append(_parse_cell(path, offset, "score", row[1]))
-    return {role: np.array(vals) for role, vals in scores.items()}
-
-
-def read_result_table(path: str):
-    """Read back a results CSV written by this tool.
-
-    Returns (header, data rows, summary dict parsed from the trailing
-    ``# key=value`` comment line if present).
-    """
-    summary: dict[str, str] = {}
-    data: list[list[str]] = []
-    try:
-        with open(path, newline="") as handle:
-            for line in handle:
-                line = line.rstrip("\n")
-                if line.startswith("#"):
-                    for token in line.lstrip("# ").split():
-                        key, _, value = token.partition("=")
-                        summary[key] = value
-                elif line:
-                    data.append(next(csv.reader([line])))
-    except OSError as exc:
-        raise CliError(f"{path}: {exc.strerror or exc}", EXIT_IO) from exc
-    if not data:
-        raise CliError(f"{path}: no rows")
-    return data[0], data[1:], summary
-
-
-# ---------------------------------------------------------------------------
-# Output helpers.
-# ---------------------------------------------------------------------------
-
-
-class _Sink:
-    """Writable text destination: a file path or stdout."""
-
-    def __init__(self, path: str | None) -> None:
-        self.path = path
-
-    def __enter__(self):
-        if self.path is None:
-            self.handle = sys.stdout
-        else:
-            try:
-                self.handle = open(self.path, "w", newline="")
-            except OSError as exc:
-                raise CliError(f"{self.path}: {exc.strerror or exc}", EXIT_IO) from exc
-        return self.handle
-
-    def __exit__(self, exc_type, exc, tb):
-        if self.path is not None:
-            self.handle.close()
-        return False
-
-
-def _write_json(payload, path: str | None) -> None:
-    with _Sink(path) as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
-
-
-def _summary_comment(fields: Mapping) -> str:
-    return "# " + " ".join(f"{k}={v}" for k, v in fields.items())
 
 
 # ---------------------------------------------------------------------------
@@ -310,46 +118,21 @@ def cmd_test(manifest: RunManifest) -> int:
     except ValueError as exc:
         raise CliError(str(exc)) from exc
 
-    rejected = result.rejection_mask()
-    summary = {
-        "k_star": result.k_star,
-        "alpha": _fmt_float(manifest.alpha),
-        "epsilon": _fmt_float(manifest.epsilon),
-        "mode": manifest.mode,
-        "threshold": _fmt_float(result.threshold_used),
+    columns = {
+        "id": ids,
+        "p_real": pairs[:, 0],
+        "p_synth": pairs[:, 1],
+        "v": np.asarray(result.modified_pvalues, dtype=np.float64),
+        "rejected": result.rejection_mask(),
     }
-    if manifest.fmt == "json":
-        payload = {
-            "rows": [
-                {
-                    "id": ids[j],
-                    "p_real": float(pairs[j, 0]),
-                    "p_synth": float(pairs[j, 1]),
-                    "v": float(result.modified_pvalues[j]),
-                    "rejected": bool(rejected[j]),
-                }
-                for j in range(len(ids))
-            ],
-            "k_star": result.k_star,
-            "alpha": manifest.alpha,
-            "epsilon": manifest.epsilon,
-            "mode": manifest.mode,
-            "threshold": float(result.threshold_used),
-        }
-        _write_json(payload, manifest.output)
-        return EXIT_OK
-    with _Sink(manifest.output) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["id", "p_real", "p_synth", "v", "rejected"])
-        for j in range(len(ids)):
-            writer.writerow([
-                ids[j],
-                _fmt_float(pairs[j, 0]),
-                _fmt_float(pairs[j, 1]),
-                _fmt_float(result.modified_pvalues[j]),
-                "true" if rejected[j] else "false",
-            ])
-        handle.write(_summary_comment(summary) + "\n")
+    write_table(manifest.output, columns, manifest.fmt, {
+        "rows": ROWS,
+        "k_star": result.k_star,
+        "alpha": manifest.alpha,
+        "epsilon": manifest.epsilon,
+        "mode": manifest.mode,
+        "threshold": float(result.threshold_used),
+    })
     return EXIT_OK
 
 
@@ -392,54 +175,27 @@ def cmd_outliers(manifest: RunManifest) -> int:
         p_merged = merged_conformal_pvalues(
             working.real_scores, working.synth_scores, working.test_scores
         )
-        result = detect_outliers(working, config)
+        result = synth_bh(np.column_stack((p_real, p_merged)), config)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
 
-    rejected = result.rejection_mask()
-    summary = {
+    columns = {
+        "id": np.arange(bundle.n_test),
+        "score": bundle.test_scores,
+        "p_real": p_real,
+        "p_merged": p_merged,
+        "rejected": result.rejection_mask(),
+    }
+    write_table(manifest.output, columns, manifest.fmt, {
+        "rows": ROWS,
         "k_star": result.k_star,
-        "alpha": _fmt_float(manifest.alpha),
-        "epsilon": _fmt_float(manifest.epsilon),
+        "alpha": manifest.alpha,
+        "epsilon": manifest.epsilon,
         "mode": manifest.mode,
-        "rho": _fmt_float(manifest.rho),
+        "rho": manifest.rho,
         "n_real": bundle.n_real,
         "n_synth_used": working.n_synth,
-    }
-    if manifest.fmt == "json":
-        payload = {
-            "rows": [
-                {
-                    "id": j,
-                    "score": float(bundle.test_scores[j]),
-                    "p_real": float(p_real[j]),
-                    "p_merged": float(p_merged[j]),
-                    "rejected": bool(rejected[j]),
-                }
-                for j in range(bundle.n_test)
-            ],
-            "k_star": result.k_star,
-            "alpha": manifest.alpha,
-            "epsilon": manifest.epsilon,
-            "mode": manifest.mode,
-            "rho": manifest.rho,
-            "n_real": bundle.n_real,
-            "n_synth_used": working.n_synth,
-        }
-        _write_json(payload, manifest.output)
-        return EXIT_OK
-    with _Sink(manifest.output) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["id", "score", "p_real", "p_merged", "rejected"])
-        for j in range(bundle.n_test):
-            writer.writerow([
-                j,
-                _fmt_float(bundle.test_scores[j]),
-                _fmt_float(p_real[j]),
-                _fmt_float(p_merged[j]),
-                "true" if rejected[j] else "false",
-            ])
-        handle.write(_summary_comment(summary) + "\n")
+    })
     return EXIT_OK
 
 
@@ -507,6 +263,9 @@ def cmd_simulate(manifest: RunManifest) -> int:
         if base_kwargs["q_synth_null"] != "mirror-alt":
             base_kwargs["q_synth_null"] = float(base_kwargs["q_synth_null"])
 
+        def check(kwargs):
+            SimConfig(**kwargs)
+
         def run(kwargs):
             return run_bernoulli_experiment(SimConfig(**kwargs))
 
@@ -521,6 +280,9 @@ def cmd_simulate(manifest: RunManifest) -> int:
             "trials": manifest.trials, "seed": seed,
         }
 
+        def check(kwargs):
+            check_outlier_experiment(**kwargs)
+
         def run(kwargs):
             return run_outlier_experiment(**kwargs)
 
@@ -529,22 +291,28 @@ def cmd_simulate(manifest: RunManifest) -> int:
 
     if manifest.sweep is not None:
         param, values = _parse_sweep(manifest.sweep, allowed)
-        points = []
-        for value in values:
-            kwargs = dict(base_kwargs)
-            kwargs[param] = value
-            try:
-                points.append((value, run(kwargs)))
-            except ValueError as exc:
-                raise CliError(f"sweep {param}={value!r}: {exc}") from exc
         sweep_info = {"param": param, "values": values}
+        runs = [(value, {**base_kwargs, param: value}) for value in values]
     else:
-        param = None
+        param = sweep_info = None
+        runs = [(None, base_kwargs)]
+
+    def failure(value, exc: ValueError) -> CliError:
+        prefix = "" if param is None else f"sweep {param}={value!r}: "
+        return CliError(prefix + str(exc))
+
+    # Every point is validated before any of them runs.
+    for value, kwargs in runs:
         try:
-            points = [(None, run(base_kwargs))]
+            check(kwargs)
         except ValueError as exc:
-            raise CliError(str(exc)) from exc
-        sweep_info = None
+            raise failure(value, exc) from exc
+    points = []
+    for value, kwargs in runs:
+        try:
+            points.append((value, run(kwargs)))
+        except ValueError as exc:
+            raise failure(value, exc) from exc
 
     summary_payload = {
         "experiment": experiment,
@@ -557,49 +325,33 @@ def cmd_simulate(manifest: RunManifest) -> int:
         ],
     }
 
+    trials = [
+        (value, method, trial, metrics)
+        for value, result in points
+        for method in result.method_names
+        for trial, metrics in enumerate(result.trial_metrics(method))
+    ]
+    columns: dict[str, Sequence] = {}
+    if manifest.fmt == "json" or param is not None:
+        columns["param"] = [param] * len(trials)
+        value_column = [t[0] for t in trials]
+        # JSON keeps each sweep value's own type; CSV writes it as a float.
+        columns["value"] = (
+            value_column if manifest.fmt == "json"
+            else np.array(value_column, dtype=np.float64)
+        )
+    columns["method"] = [t[1] for t in trials]
+    columns["trial"] = np.array([t[2] for t in trials], dtype=np.int64)
+    columns["fdp"] = np.array([t[3].fdp for t in trials], dtype=np.float64)
+    columns["power"] = np.array([t[3].power for t in trials], dtype=np.float64)
+    columns["rejections"] = np.array([t[3].rejections for t in trials], dtype=np.int64)
     if manifest.fmt == "json":
-        payload = dict(summary_payload)
-        payload["per_trial"] = [
-            {
-                "param": param,
-                "value": value,
-                "method": method,
-                "trial": trial,
-                "fdp": metrics.fdp,
-                "power": metrics.power,
-                "rejections": metrics.rejections,
-            }
-            for value, result in points
-            for method in result.method_names
-            for trial, metrics in enumerate(result.trial_metrics(method))
-        ]
-        _write_json(payload, manifest.output)
+        write_table(manifest.output, columns, "json", {**summary_payload, "per_trial": ROWS})
         return EXIT_OK
-
-    with _Sink(manifest.output) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        if param is None:
-            writer.writerow(["method", "trial", "fdp", "power", "rejections"])
-        else:
-            writer.writerow(
-                ["param", "value", "method", "trial", "fdp", "power", "rejections"]
-            )
-        for value, result in points:
-            for method in result.method_names:
-                for trial, metrics in enumerate(result.trial_metrics(method)):
-                    row = [
-                        method,
-                        trial,
-                        _fmt_float(metrics.fdp),
-                        _fmt_float(metrics.power),
-                        metrics.rejections,
-                    ]
-                    if param is not None:
-                        row = [param, _fmt_float(value)] + row
-                    writer.writerow(row)
+    write_table(manifest.output, columns, "csv", {})
     if manifest.output is not None:
         stem = manifest.output[:-4] if manifest.output.endswith(".csv") else manifest.output
-        _write_json(summary_payload, stem + ".summary.json")
+        write_json(stem + ".summary.json", summary_payload)
     return EXIT_OK
 
 
@@ -609,29 +361,35 @@ def cmd_bench(manifest: RunManifest) -> int:
     repeats = manifest.options.get("repeats", 3)
     if repeats < 1:
         raise CliError(f"--repeats must be >= 1, got {repeats}")
-    seed = _resolve_seed(manifest.seed)
-    records = []
     for m in sizes:
         if m < 1:
             raise CliError(f"sizes must be >= 1, got {m}")
+    try:
+        configs = {
+            mode: StepUpConfig(alpha=manifest.alpha, epsilon=manifest.epsilon, mode=mode)
+            for mode in ("fast", "naive")
+        }
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
+    seed = _resolve_seed(manifest.seed)
+    records = []
+    for m in sizes:
         rng = np.random.default_rng([seed, m])
         pairs = rng.random((m, 2))
         modes = ["fast"] if m > NAIVE_BENCH_CAP else ["fast", "naive"]
         for mode in modes:
-            config = StepUpConfig(
-                alpha=manifest.alpha, epsilon=manifest.epsilon, mode=mode
-            )
             best = math.inf
             for _ in range(repeats):
                 t0 = time.perf_counter()
-                synth_bh(pairs, config)
+                synth_bh(pairs, configs[mode])
                 best = min(best, time.perf_counter() - t0)
             records.append((m, mode, best))
-    with _Sink(manifest.output) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["m", "mode", "seconds"])
-        for m, mode, seconds in records:
-            writer.writerow([m, mode, _fmt_float(seconds)])
+    columns = {
+        "m": np.array([r[0] for r in records], dtype=np.int64),
+        "mode": [r[1] for r in records],
+        "seconds": np.array([r[2] for r in records], dtype=np.float64),
+    }
+    write_table(manifest.output, columns, "csv", {})
     return EXIT_OK
 
 

@@ -35,8 +35,7 @@ from typing import Callable, Mapping, Union
 
 import numpy as np
 
-from .conformal import ScoreBundle, conformal_pvalues, detect_outliers, \
-    merged_conformal_pvalues, trim_by_score
+from .conformal import conformal_pvalues, merged_conformal_pvalues, trim_by_score
 from .stepup import StepUpConfig, bh, synth_bh
 
 MAX_EXACT_BINOMIAL_N = 2000
@@ -101,6 +100,11 @@ class SimConfig:
         _check_count("n_synth", self.n_synth)
         _check_count("m", self.m)
         _check_count("trials", self.trials)
+        if self.n_real + self.n_synth > MAX_EXACT_BINOMIAL_N:
+            raise ValueError(
+                f"n_real + n_synth must be at most {MAX_EXACT_BINOMIAL_N} for the "
+                f"exact pooled test, got {self.n_real + self.n_synth}"
+            )
         _check_probability("frac_alt", self.frac_alt)
         _check_probability("q_alt", self.q_alt)
         _check_probability("q_synth_alt", self.q_synth_alt)
@@ -363,17 +367,39 @@ def _outlier_trial(
     null_mask = np.ones(m, dtype=bool)
     null_mask[:m_out] = False
 
-    bundle = ScoreBundle(real_scores=real, synth_scores=synth, test_scores=test)
     p_real = conformal_pvalues(real, test)
     p_merged = merged_conformal_pvalues(real, synth, test)
-    guarded = detect_outliers(bundle, StepUpConfig(alpha=alpha, epsilon=epsilon))
-    runs = {
-        "BH-real": bh(p_real, alpha),
-        "BH-real+eps": bh(p_real, alpha + epsilon),
-        "BH-synth": bh(p_merged, alpha),
-        "SynthBH": guarded,
-    }
-    return {name: fdp_and_power(run.rejected, null_mask) for name, run in runs.items()}
+    return _evaluate_methods(p_real, p_merged, null_mask, alpha, epsilon)
+
+
+def check_outlier_experiment(
+    *,
+    n: int,
+    n_synth: int,
+    m: int,
+    outlier_frac: float,
+    contamination_frac: float,
+    rho: float,
+    alpha: float,
+    epsilon: float,
+    trials: int,
+    seed: int,
+    mu_out: float,
+) -> None:
+    """Raise ValueError for parameters :func:`run_outlier_experiment` rejects."""
+    _check_count("n", n)
+    _check_count("n_synth", n_synth, minimum=0)
+    _check_count("m", m)
+    _check_count("trials", trials)
+    _check_probability("outlier_frac", outlier_frac)
+    _check_probability("contamination_frac", contamination_frac)
+    if not (0 <= rho < 1):
+        raise ValueError(f"rho must be in [0, 1), got {rho!r}")
+    _check_levels(alpha, epsilon)
+    if not math.isfinite(mu_out):
+        raise ValueError(f"mu_out must be finite, got {mu_out!r}")
+    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
 
 
 def run_outlier_experiment(
@@ -400,17 +426,11 @@ def run_outlier_experiment(
     methods as the Bernoulli experiment, with conformal p-values in the
     real role and pooled conformal p-values in the synthetic role.
     """
-    _check_count("n", n)
-    _check_count("n_synth", n_synth, minimum=0)
-    _check_count("m", m)
-    _check_count("trials", trials)
-    _check_probability("outlier_frac", outlier_frac)
-    _check_probability("contamination_frac", contamination_frac)
-    if not (0 <= rho < 1):
-        raise ValueError(f"rho must be in [0, 1), got {rho!r}")
-    _check_levels(alpha, epsilon)
-    if not math.isfinite(mu_out):
-        raise ValueError(f"mu_out must be finite, got {mu_out!r}")
+    check_outlier_experiment(
+        n=n, n_synth=n_synth, m=m, outlier_frac=outlier_frac,
+        contamination_frac=contamination_frac, rho=rho, alpha=alpha,
+        epsilon=epsilon, trials=trials, seed=seed, mu_out=mu_out,
+    )
 
     def worker(trial: int) -> dict[str, TrialMetrics]:
         return _outlier_trial(

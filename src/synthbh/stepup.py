@@ -186,12 +186,18 @@ def _as_prob_vector(values, name: str):
     if any(isinstance(x, Fraction) for x in items):
         out = []
         for i, x in enumerate(items):
-            f = x if isinstance(x, Fraction) else Fraction(x)
-            if not (0 <= f <= 1):
+            f = _as_fraction(x)
+            # 0 <= f <= 1 on the integer parts; a Fraction's denominator is positive.
+            if not (0 <= f.numerator <= f.denominator):
                 raise ValueError(f"{name}[{i}]={x!r} outside [0, 1]")
             out.append(f)
         return out, True
     return _as_prob_vector(np.asarray(items, dtype=np.float64), name)
+
+
+def _as_fraction(x) -> Fraction:
+    # Fraction(f) of a Fraction f costs a full constructor call; skip it.
+    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 def _split_pairs(pairs):
@@ -219,8 +225,8 @@ def _split_pairs(pairs):
     second = [row[1] for row in rows]
     exact = any(isinstance(x, Fraction) for x in first + second)
     if exact:
-        p, _ = _as_prob_vector([Fraction(x) for x in first], "p_real")
-        q, _ = _as_prob_vector([Fraction(x) for x in second], "p_pooled")
+        p, _ = _as_prob_vector([_as_fraction(x) for x in first], "p_real")
+        q, _ = _as_prob_vector([_as_fraction(x) for x in second], "p_pooled")
         return p, q, True
     p, _ = _as_prob_vector(np.asarray(first, dtype=np.float64), "p_real")
     q, _ = _as_prob_vector(np.asarray(second, dtype=np.float64), "p_pooled")
@@ -482,14 +488,16 @@ def _stepup_exact(p, q, weights, config: StepUpConfig) -> RejectionResult:
     m = len(p)
     alpha = Fraction(config.alpha)
     eps = Fraction(config.epsilon)
-    if weights is None:
-        w = [Fraction(1)] * m
-    else:
-        w = [Fraction(x) for x in weights]
-    units = [wj * eps / m for wj in w]
+    # Unit weights give every hypothesis the same guard unit and ratio, so
+    # each is computed once rather than per hypothesis.
+    w = None if weights is None else [Fraction(x) for x in weights]
+    units = [eps / m] * m if w is None else [wj * eps / m for wj in w]
     thr_unit = alpha / m
     if config.mode == "fast":
-        ratios = [alpha / (alpha + wj * eps) for wj in w]
+        ratios = (
+            [alpha / (alpha + eps)] * m if w is None
+            else [alpha / (alpha + wj * eps) for wj in w]
+        )
         v = [min(pj, max(qj, rj * pj)) for pj, qj, rj in zip(p, q, ratios)]
         denom = _exact_scaling(v, [], [], thr_unit)
         if denom is not None:

@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import collections
 import csv
 import json
 
 import numpy as np
 import pytest
 
-from synthbh import bh, conformal_pvalues
-from synthbh.cli import main, read_result_table
+import synthbh.conformal
+from synthbh import bh, cli, conformal_pvalues, tables
+from synthbh.cli import CliError, main, read_result_table
 
 PAIR_FILE = "id,p_real,p_synth\nh1,0.08,0.01\nh2,0.9,0.9\n"
 
@@ -130,6 +132,27 @@ class TestCmdTest:
         assert run(["test", inp]) == 2
         assert "row 2" in capsys.readouterr().err
 
+    def test_undecodable_byte_names_file_and_row(self, tmp_path, capsys):
+        inp = tmp_path / "p.csv"
+        inp.write_bytes(b"id,p_real,p_synth\nh1,0.1,0.2\nh\xff,0.1,0.2\n")
+        assert run(["test", inp]) == 2
+        err = capsys.readouterr().err
+        assert f"{inp}: row 3:" in err
+        assert "0xff" in err
+
+    def test_field_over_csv_limit_names_file_and_row(self, tmp_path, capsys):
+        limit = csv.field_size_limit()
+        # A line longer than the limit is fine while each field is within it.
+        half = "1" + "0" * (limit // 2)
+        tiny = f"{half[:-1]}e-{limit // 2}"
+        ok = write(tmp_path / "ok.csv", f"id,p_real,p_synth\n{half},0.5,{tiny}\n")
+        assert run(["test", ok, "--output", tmp_path / "r.csv"]) == 0
+        inp = write(tmp_path / "p.csv",
+                    f"id,p_real,p_synth\nh1,0.1,0.2\n{'x' * (limit + 1)},0.1,0.2\n")
+        assert run(["test", inp]) == 2
+        err = capsys.readouterr().err
+        assert f"{inp}: row 3: field larger than field limit" in err
+
 
 class TestCmdOutliers:
     @staticmethod
@@ -203,6 +226,23 @@ class TestCmdOutliers:
         assert run(["outliers", "--scores", path]) == 2
         err = capsys.readouterr().err
         assert "row 2" in err and "role" in err
+
+    def test_conformal_pvalues_computed_once(self, tmp_path, monkeypatch):
+        calls = collections.Counter()
+        for module in (cli, synthbh.conformal):
+            for name in ("conformal_pvalues", "merged_conformal_pvalues"):
+                original = getattr(module, name)
+
+                def counted(*args, _name=name, _original=original):
+                    calls[_name] += 1
+                    return _original(*args)
+
+                monkeypatch.setattr(module, name, counted)
+        path = self.role_file(tmp_path, real=np.arange(1.0, 21.0),
+                              synth=np.linspace(-3.0, 0.5, 30), test=[25.0, 0.0])
+        assert run(["outliers", "--scores", path, "--alpha", "0.2", "--epsilon", "0.1",
+                    "--output", tmp_path / "r.csv"]) == 0
+        assert calls == {"conformal_pvalues": 1, "merged_conformal_pvalues": 1}
 
 
 class TestCmdSimulate:
@@ -293,6 +333,20 @@ class TestCmdSimulate:
         assert run(["simulate", "--trials", "0", "--seed", "1"]) == 2
         assert "trials" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("experiment, sweep, bad", [
+        ("bernoulli", "alpha=0.5:0.95:0.2", "alpha=0.9"),
+        ("bernoulli", "n_synth=1000:2000:1000", "n_synth=2000"),
+        ("outlier", "rho=0.5:1.0:0.5", "rho=1.0"),
+    ])
+    def test_sweep_validated_before_any_point_runs(self, monkeypatch, capsys,
+                                                   experiment, sweep, bad):
+        calls = []
+        for name in ("run_bernoulli_experiment", "run_outlier_experiment"):
+            monkeypatch.setattr(cli, name, lambda *a, _name=name, **k: calls.append(_name))
+        assert run(self.ARGS + ["--experiment", experiment, "--sweep", sweep]) == 2
+        assert calls == []
+        assert f"sweep {bad}:" in capsys.readouterr().err
+
 
 class TestCmdBench:
     def test_small_sizes(self, tmp_path):
@@ -317,3 +371,43 @@ class TestCmdBench:
     def test_bad_sizes(self, capsys):
         assert run(["bench", "--sizes", "10,many"]) == 2
         assert "sizes" in capsys.readouterr().err
+
+    def test_bad_level_is_validation_error(self, capsys):
+        assert run(["bench", "--sizes", "10", "--alpha", "2"]) == 2
+        assert "alpha must be in (0, 1)" in capsys.readouterr().err
+
+
+class TestOutputFiles:
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch, capsys):
+        inp = write(tmp_path / "p.csv", PAIR_FILE)
+        out = tmp_path / "r.csv"
+        out.write_text("previous\n")
+        monkeypatch.setattr(tables, "_CHUNK_ROWS", 1)
+        original = tables._cells
+        calls = []
+
+        def failing(values, fmt):
+            calls.append(fmt)
+            if len(calls) > 5:  # the second chunk, after the first is written
+                raise OSError(28, "No space left on device")
+            return original(values, fmt)
+
+        monkeypatch.setattr(tables, "_cells", failing)
+        assert run(["test", inp, "--output", out]) == 3
+        assert f"{out}: No space left on device" in capsys.readouterr().err
+        assert out.read_text() == "previous\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["p.csv", "r.csv"]
+
+    def test_failed_summary_leaves_no_file(self, tmp_path):
+        target = tmp_path / "sim.summary.json"
+        with pytest.raises(CliError) as info:
+            with tables._output(str(target)) as handle:
+                handle.write("{")
+                raise OSError(28, "No space left on device")
+        assert info.value.exit_code == 3
+        assert list(tmp_path.iterdir()) == []
+
+    def test_missing_directory_is_io_error(self, tmp_path, capsys):
+        inp = write(tmp_path / "p.csv", PAIR_FILE)
+        assert run(["test", inp, "--output", tmp_path / "absent" / "r.csv"]) == 3
+        assert "No such file or directory" in capsys.readouterr().err

@@ -17,6 +17,7 @@ from synthbh import (
     run_bernoulli_experiment,
     run_outlier_experiment,
 )
+from synthbh import conformal, simulate
 from synthbh.simulate import MAX_EXACT_BINOMIAL_N, resolve_thread_count
 
 
@@ -234,6 +235,20 @@ class TestOutlierExperiment:
     def test_invalid_contamination(self):
         with pytest.raises(ValueError, match="contamination_frac"):
             run_outlier_experiment(contamination_frac=-0.2, trials=1)
+
+    def test_pvalues_computed_once_per_trial(self, monkeypatch):
+        calls = []
+        for module in (simulate, conformal):
+            for name in ("conformal_pvalues", "merged_conformal_pvalues"):
+                original = getattr(module, name)
+
+                def counted(*args, _name=name, _original=original):
+                    calls.append(_name)
+                    return _original(*args)
+
+                monkeypatch.setattr(module, name, counted)
+        run_outlier_experiment(n=30, n_synth=60, m=20, trials=3, seed=12)
+        assert sorted(calls) == ["conformal_pvalues"] * 3 + ["merged_conformal_pvalues"] * 3
 
 
 class TestThreadResolution:
