@@ -12,9 +12,8 @@ Input is always headered CSV; summaries are emitted as JSON (output-only).
 Floats are serialized with 17 significant digits so that written results
 parse back to the exact same values.  Exit codes: 0 success, 2 validation
 error, 3 I/O error.  All randomness flows from ``--seed``; when omitted a
-fresh seed is drawn and announced on stderr.  The ``SYNTHBH_THREADS``
-environment variable bounds simulation parallelism without affecting
-results.
+fresh seed is drawn and announced on stderr; simulation results depend on
+the seed alone.
 """
 
 from __future__ import annotations
@@ -235,7 +234,7 @@ def _parse_sweep(text: str, allowed: Mapping[str, type]):
     if caster is int:
         out = []
         for v in values:
-            if v != int(v):
+            if not math.isfinite(v) or v != int(v):
                 raise CliError(f"sweep over {name!r} needs integers, got {v!r}")
             out.append(int(v))
         return name, out
@@ -372,6 +371,8 @@ def cmd_bench(manifest: RunManifest) -> int:
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     seed = _resolve_seed(manifest.seed)
+    if seed < 0:
+        raise CliError(f"--seed must be >= 0, got {seed}")
     records = []
     for m in sizes:
         rng = np.random.default_rng([seed, m])

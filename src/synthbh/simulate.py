@@ -15,9 +15,9 @@ per trial:
 a contaminated auxiliary set, and trimming.
 
 Reproducibility: every trial draws from ``default_rng([seed, trial])``,
-so results are bit-identical no matter how trials are scheduled across
-threads.  The thread count is taken from the ``SYNTHBH_THREADS``
-environment variable (default: CPU count capped at 8).
+in trial order, so results depend on the seed alone.  Trials run serially;
+their p-values are stacked into blocks of about 16k hypotheses, and each
+method scores a whole block with one row-wise step-up scan.
 
 Binomial tail probabilities are computed by exact integer summation and
 a single correctly rounded float division, for n up to 2000; larger n
@@ -27,16 +27,14 @@ raises rather than silently approximating.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Mapping, Union
+from typing import Callable, Iterator, Mapping, Union
 
 import numpy as np
 
 from .conformal import conformal_pvalues, merged_conformal_pvalues, trim_by_score
-from .stepup import StepUpConfig, bh, synth_bh
+from .stepup import StepUpConfig, _check_level, _check_prob_array, stepup_rows
 
 MAX_EXACT_BINOMIAL_N = 2000
 
@@ -45,6 +43,13 @@ MAX_EXACT_BINOMIAL_N = 2000
 MIRROR_ALT = "mirror-alt"
 
 METHOD_NAMES = ("BH-real", "BH-real+eps", "BH-synth", "SynthBH")
+
+# Hypotheses per stacked block of trials.  Larger blocks save no time and
+# raise peak memory.
+BLOCK_HYPOTHESES = 16384
+
+# One trial's draws: real p-values, pooled p-values and the null mask.
+Draws = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _check_probability(name: str, value: float) -> None:
@@ -117,8 +122,7 @@ class SimConfig:
         else:
             _check_probability("q_synth_null", self.q_synth_null)
         _check_levels(self.alpha, self.epsilon)
-        if not isinstance(self.seed, (int, np.integer)) or isinstance(self.seed, bool):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        _check_count("seed", self.seed, minimum=0)
 
     @property
     def n_alternatives(self) -> int:
@@ -262,19 +266,7 @@ def fdp_and_power(rejected, null_mask) -> TrialMetrics:
     )
 
 
-def _evaluate_methods(p_real, p_pooled, null_mask, alpha, epsilon):
-    pairs = np.column_stack((p_real, p_pooled))
-    guarded = StepUpConfig(alpha=alpha, epsilon=epsilon, mode="fast")
-    runs = {
-        "BH-real": bh(p_real, alpha),
-        "BH-real+eps": bh(p_real, alpha + epsilon),
-        "BH-synth": bh(p_pooled, alpha),
-        "SynthBH": synth_bh(pairs, guarded),
-    }
-    return {name: fdp_and_power(run.rejected, null_mask) for name, run in runs.items()}
-
-
-def _bernoulli_trial(config: SimConfig, trial: int) -> dict[str, TrialMetrics]:
+def _bernoulli_trial(config: SimConfig, trial: int) -> Draws:
     rng = np.random.default_rng([config.seed, trial])
     m, m_alt = config.m, config.n_alternatives
     q_real = np.full(m, 0.5)
@@ -296,36 +288,56 @@ def _bernoulli_trial(config: SimConfig, trial: int) -> dict[str, TrialMetrics]:
     )
     null_mask = np.ones(m, dtype=bool)
     null_mask[:m_alt] = False
-    return _evaluate_methods(p_real, p_pooled, null_mask, config.alpha, config.epsilon)
+    return p_real, p_pooled, null_mask
 
 
-def resolve_thread_count() -> int:
-    """Worker count for trial execution, from SYNTHBH_THREADS if set."""
-    raw = os.environ.get("SYNTHBH_THREADS")
-    if raw is None:
-        return min(os.cpu_count() or 1, 8)
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"SYNTHBH_THREADS must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise ValueError(f"SYNTHBH_THREADS must be >= 1, got {value}")
-    return value
+def _run_trials(worker: Callable[[int], Draws], trials: int) -> Iterator[Draws]:
+    """The draws of trials 0 .. trials-1, in order, stacked into blocks.
+
+    Each block stacks the p-values and null masks of up to
+    ``max(1, BLOCK_HYPOTHESES // m)`` consecutive trials as (T, m) arrays.
+    """
+    rows: list[Draws] = []
+    for trial in range(trials):
+        rows.append(worker(trial))
+        size = max(1, BLOCK_HYPOTHESES // rows[0][0].shape[0])
+        if len(rows) == size or trial == trials - 1:
+            yield tuple(np.stack(column) for column in zip(*rows))
+            rows = []
 
 
-def _run_trials(
-    worker: Callable[[int], dict[str, TrialMetrics]], trials: int
-) -> ExperimentResult:
-    threads = resolve_thread_count()
-    if threads == 1 or trials == 1:
-        rows = [worker(t) for t in range(trials)]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(worker, range(trials)))
-    per_trial = {
-        name: tuple(row[name] for row in rows) for name in METHOD_NAMES
-    }
-    return ExperimentResult(method_names=METHOD_NAMES, per_trial=per_trial)
+def _score_trials(blocks: Iterator[Draws], alpha: float,
+                  epsilon: float) -> ExperimentResult:
+    """Score the four methods on each block of stacked trials.
+
+    Gives, trial for trial, the metrics of ``fdp_and_power`` on the
+    rejection sets of ``bh`` at alpha, ``bh`` at alpha + epsilon, ``bh`` on
+    the pooled p-values and fast ``synth_bh``, with the same checks.
+    """
+    StepUpConfig(alpha=alpha, epsilon=epsilon)
+    _check_level("alpha", alpha + epsilon)
+    alpha, relaxed = float(alpha), float(alpha + epsilon)
+    ratio = alpha / (alpha + float(epsilon))
+    per_trial: dict[str, list[TrialMetrics]] = {name: [] for name in METHOD_NAMES}
+    for p_real, p_pooled, null_mask in blocks:
+        _check_prob_array("p_real", p_real)
+        _check_prob_array("p_pooled", p_pooled)
+        guarded = np.minimum(p_real, np.maximum(p_pooled, ratio * p_real))
+        n_alt = np.maximum(np.count_nonzero(~null_mask, axis=1), 1)
+        runs = zip(METHOD_NAMES, (p_real, p_real, p_pooled, guarded),
+                   (alpha, relaxed, alpha, alpha))
+        for name, values, level in runs:
+            _, cutoff = stepup_rows(values, level)
+            rejected = values <= cutoff[:, np.newaxis]
+            n_rej = np.count_nonzero(rejected, axis=1)
+            false_rej = np.count_nonzero(rejected & null_mask, axis=1)
+            fdp = false_rej / np.maximum(n_rej, 1)
+            power = (n_rej - false_rej) / n_alt
+            per_trial[name] += map(TrialMetrics, fdp.tolist(), power.tolist(), n_rej.tolist())
+    return ExperimentResult(
+        method_names=METHOD_NAMES,
+        per_trial={name: tuple(rows) for name, rows in per_trial.items()},
+    )
 
 
 def run_bernoulli_experiment(config: SimConfig) -> ExperimentResult:
@@ -335,10 +347,10 @@ def run_bernoulli_experiment(config: SimConfig) -> ExperimentResult:
     success count, turns them into a real-only p-value and a pooled
     p-value via the randomized binomial test (with independent uniform
     draws for the two), and scores the four methods against the known
-    null mask.  Identical seeds give identical results at any thread
-    count.
+    null mask.  Identical seeds give identical results.
     """
-    return _run_trials(lambda t: _bernoulli_trial(config, t), config.trials)
+    blocks = _run_trials(lambda t: _bernoulli_trial(config, t), config.trials)
+    return _score_trials(blocks, config.alpha, config.epsilon)
 
 
 def _outlier_trial(
@@ -349,11 +361,9 @@ def _outlier_trial(
     outlier_frac: float,
     contamination_frac: float,
     rho: float,
-    alpha: float,
-    epsilon: float,
     seed: int,
     mu_out: float,
-) -> dict[str, TrialMetrics]:
+) -> Draws:
     rng = np.random.default_rng([seed, trial])
     m_out = round(outlier_frac * m)
     n_contam = round(contamination_frac * n_synth)
@@ -369,7 +379,7 @@ def _outlier_trial(
 
     p_real = conformal_pvalues(real, test)
     p_merged = merged_conformal_pvalues(real, synth, test)
-    return _evaluate_methods(p_real, p_merged, null_mask, alpha, epsilon)
+    return p_real, p_merged, null_mask
 
 
 def check_outlier_experiment(
@@ -398,8 +408,7 @@ def check_outlier_experiment(
     _check_levels(alpha, epsilon)
     if not math.isfinite(mu_out):
         raise ValueError(f"mu_out must be finite, got {mu_out!r}")
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
-        raise ValueError(f"seed must be an integer, got {seed!r}")
+    _check_count("seed", seed, minimum=0)
 
 
 def run_outlier_experiment(
@@ -432,10 +441,9 @@ def run_outlier_experiment(
         epsilon=epsilon, trials=trials, seed=seed, mu_out=mu_out,
     )
 
-    def worker(trial: int) -> dict[str, TrialMetrics]:
+    def worker(trial: int) -> Draws:
         return _outlier_trial(
-            trial, n, n_synth, m, outlier_frac, contamination_frac,
-            rho, alpha, epsilon, seed, mu_out,
+            trial, n, n_synth, m, outlier_frac, contamination_frac, rho, seed, mu_out,
         )
 
-    return _run_trials(worker, trials)
+    return _score_trials(_run_trials(worker, trials), alpha, epsilon)

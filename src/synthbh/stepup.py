@@ -283,21 +283,28 @@ def _bh_scan(values: np.ndarray, thresholds: np.ndarray) -> int:
     return int(passing[-1]) + 1 if passing.size else 0
 
 
-def _bh_scan_float(ordered: np.ndarray, alpha: float) -> int:
-    """Step-up scan over an ascending float64 array at thresholds alpha*k/m.
+def stepup_rows(values: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Step-up scan of each row of a (T, m) float64 array at thresholds alpha*k/m.
 
-    Entries above the largest threshold can never pass, so the comparison
-    is confined to the prefix below it; the comparisons themselves are the
-    plain ``value <= alpha * k / m`` in float64.
+    Returns ``k_star`` (int64, 0 where nothing passes) and ``cutoff``, each
+    row's k*-th smallest value (-inf where k* = 0), so that
+    ``values <= cutoff[:, None]`` is the rejection mask.  The comparisons
+    are the plain ``value <= alpha * k / m`` in float64.  A value above the
+    largest threshold can never pass, so the comparison stops at the first
+    column whose smallest entry is above it.
     """
-    m = ordered.shape[0]
-    top = alpha * m / m
-    limit = int(np.searchsorted(ordered, top, side="right"))
-    if limit == 0:
-        return 0
-    ks = np.arange(1.0, limit + 1.0)
-    passing = np.nonzero(ordered[:limit] <= alpha * ks / m)[0]
-    return int(passing[-1]) + 1 if passing.size else 0
+    ordered = np.sort(values, axis=1)
+    rows, m = ordered.shape
+    # Rows ascend, so their column-wise minimum ascends too.
+    lowest = ordered[0] if rows == 1 else ordered.min(axis=0)
+    limit = int(lowest.searchsorted(alpha * m / m, side="right"))
+    # Ranks limit, ..., 1 and then a rank-0 sentinel that always passes, so
+    # that argmax finds each row's largest passing rank.
+    ranked = np.empty((rows, limit + 1))
+    ranked[:, :limit] = ordered[:, :limit][:, ::-1]
+    ranked[:, limit] = -np.inf
+    first = (ranked <= alpha * np.arange(float(limit), -1.0, -1.0) / m).argmax(axis=1)
+    return limit - first, ranked[np.arange(rows), first]
 
 
 def _naive_scan(p: np.ndarray, q: np.ndarray, units, thresholds: np.ndarray) -> int:
@@ -344,10 +351,7 @@ def bh(pvalues, alpha: Scalar) -> RejectionResult:
     if exact:
         alpha = Fraction(alpha)
         return _bh_exact(values, alpha)
-    alpha = float(alpha)
-    ordered = np.sort(values)
-    k_star = _bh_scan_float(ordered, alpha)
-    return _finish_float(values, ordered, k_star, alpha)
+    return _scan_float(values, float(alpha))
 
 
 def _bh_exact(values: list[Fraction], alpha: Fraction) -> RejectionResult:
@@ -366,39 +370,20 @@ def _bh_exact(values: list[Fraction], alpha: Fraction) -> RejectionResult:
     return _assemble_exact(values, k_star, alpha, m)
 
 
-def _finish_float(modified: np.ndarray, ordered: np.ndarray, k_star: int,
+def _float_result(modified: np.ndarray, k_star: int, cutoff: float,
                   alpha: float) -> RejectionResult:
-    """Build the result from modified values and their sorted copy."""
-    if k_star == 0:
-        rejected = np.empty(0, dtype=np.int64)
-        threshold = 0.0
-    else:
-        cutoff = ordered[k_star - 1]
-        rejected = np.nonzero(modified <= cutoff)[0]
-        threshold = alpha * k_star / modified.shape[0]
+    """Result of a float run whose k*-th smallest modified value is ``cutoff``."""
     return RejectionResult(
         k_star=k_star,
-        rejected=rejected,
+        rejected=np.nonzero(modified <= cutoff)[0] if k_star else np.empty(0, dtype=np.int64),
         modified_pvalues=modified,
-        threshold_used=threshold,
+        threshold_used=alpha * k_star / modified.shape[0],
     )
 
 
-def _assemble(modified: np.ndarray, k_star: int,
-              thresholds: np.ndarray) -> RejectionResult:
-    if k_star == 0:
-        rejected = np.empty(0, dtype=np.int64)
-        threshold = 0.0
-    else:
-        cutoff = np.partition(modified, k_star - 1)[k_star - 1]
-        rejected = np.nonzero(modified <= cutoff)[0]
-        threshold = float(thresholds[k_star - 1])
-    return RejectionResult(
-        k_star=k_star,
-        rejected=rejected,
-        modified_pvalues=modified,
-        threshold_used=threshold,
-    )
+def _scan_float(modified: np.ndarray, alpha: float) -> RejectionResult:
+    k_star, cutoff = stepup_rows(modified[np.newaxis], alpha)
+    return _float_result(modified, int(k_star[0]), cutoff[0], alpha)
 
 
 def _assemble_exact(modified, k_star: int, alpha: Fraction,
@@ -473,15 +458,14 @@ def _stepup_float(p: np.ndarray, q: np.ndarray, weights,
         ratios = alpha / (alpha + w * eps)
     if config.mode == "fast":
         v = np.minimum(p, np.maximum(q, ratios * p))
-        ordered = np.sort(v)
-        k_star = _bh_scan_float(ordered, alpha)
-        return _finish_float(v, ordered, k_star, alpha)
+        return _scan_float(v, alpha)
     p = np.ascontiguousarray(p)
     q = np.ascontiguousarray(q)
     thresholds = alpha * np.arange(1, m + 1) / m
     k_star = _naive_scan(p, q, units, thresholds)
     modified = np.minimum(p, np.maximum(q, p - k_star * units))
-    return _assemble(modified, k_star, thresholds)
+    cutoff = np.partition(modified, k_star - 1)[k_star - 1] if k_star else -np.inf
+    return _float_result(modified, k_star, cutoff, alpha)
 
 
 def _stepup_exact(p, q, weights, config: StepUpConfig) -> RejectionResult:

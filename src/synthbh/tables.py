@@ -9,7 +9,8 @@ which gives the same values and raises the first diagnostic in row order.
 
 :func:`write_table` formats every row of a table from one ``%`` template,
 a chunk of rows at a time, and writes exactly the bytes ``csv.writer`` and
-``json.dump(..., indent=2)`` would.  Files are written to a temporary name
+``json.dump(..., indent=2)`` would, except that a CSV field holding a
+carriage return is quoted.  Files are written to a temporary name
 and renamed into place once complete.
 """
 
@@ -263,25 +264,26 @@ def read_result_table(path: str):
     """Read back a results CSV written by this tool.
 
     Returns (header, data rows, summary dict parsed from the trailing
-    ``# key=value`` comment line if present).
+    ``# key=value`` comment line if present).  Quoted fields may span
+    lines; blank lines are skipped.
     """
-    summary: dict[str, str] = {}
-    data: list[list[str]] = []
     try:
         with open(path, newline="") as handle:
-            for line in handle:
-                line = line.rstrip("\n")
-                if line.startswith("#"):
-                    for token in line.lstrip("# ").split():
-                        key, _, value = token.partition("=")
-                        summary[key] = value
-                elif line:
-                    data.append(next(csv.reader([line])))
+            rows = [row for row in csv.reader(handle) if row]
     except OSError as exc:
         raise CliError(f"{path}: {exc.strerror or exc}", EXIT_IO) from exc
-    if not data:
+    except UnicodeDecodeError as exc:
+        raise _undecodable(path, exc) from None
+    except csv.Error as exc:
+        raise CliError(f"{path}: {exc}") from None
+    summary: dict[str, str] = {}
+    if rows and len(rows[-1]) == 1 and rows[-1][0].startswith("#"):
+        for token in rows.pop()[0].lstrip("# ").split():
+            key, _, value = token.partition("=")
+            summary[key] = value
+    if not rows:
         raise CliError(f"{path}: no rows")
-    return data[0], data[1:], summary
+    return rows[0], rows[1:], summary
 
 
 # ---------------------------------------------------------------------------
@@ -342,12 +344,18 @@ _CSV_SPECIAL = (",", '"', "\r", "\n", "\0")
 
 
 def _quote_minimal(texts: list[str]) -> list[str]:
-    """``texts`` as ``csv.writer`` writes them as fields of a row."""
+    """``texts`` as ``csv.writer`` writes them as fields of a row.
+
+    A field that holds a carriage return is quoted too, which
+    ``csv.writer`` with a line-feed line terminator does not do; unquoted,
+    it would not read back as one field.
+    """
     joined = "".join(texts)
     if not any(c in joined for c in _CSV_SPECIAL):
         return texts
     buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
+    # csv quotes a field that holds any character of the line terminator.
+    writer = csv.writer(buffer, lineterminator="\r\n")
 
     def field(text: str) -> str:
         if not any(c in text for c in _CSV_SPECIAL):
@@ -356,7 +364,7 @@ def _quote_minimal(texts: list[str]) -> list[str]:
         buffer.truncate()
         # A second field keeps csv's rule for one-field rows out of play.
         writer.writerow((text, ""))
-        return buffer.getvalue()[:-2]
+        return buffer.getvalue()[:-3]
 
     return list(map(field, texts))
 
@@ -407,7 +415,8 @@ def write_table(
     A column is a numpy array of bools, integers or floats, or a list of
     strings (for JSON, also of None or other scalars).  ``fmt="csv"``
     writes a header, one line per row with floats at 17 significant
-    digits and fields quoted as ``csv.writer`` quotes them, and then, if
+    digits and fields quoted as ``csv.writer`` quotes them (and also when
+    they hold a carriage return), and then, if
     ``summary`` has entries besides ``ROWS``, one ``# key=value`` line of
     them.  ``fmt="json"`` writes the bytes of
     ``json.dump(summary, indent=2)`` plus a newline, with the top-level

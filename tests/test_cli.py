@@ -5,6 +5,7 @@ from __future__ import annotations
 import collections
 import csv
 import json
+import random
 
 import numpy as np
 import pytest
@@ -38,6 +39,23 @@ class TestCmdTest:
         assert [r[4] for r in rows] == ["true", "false"]
         assert summary["k_star"] == "1"
         assert summary["mode"] == "fast"
+
+    def test_ids_with_separators_read_back_unchanged(self, tmp_path):
+        ids = ["lf\nid", "crlf\r\nid", "cr\rid", "a,b", 'q"uote', "#hash", "plain"]
+        with open(tmp_path / "p.csv", "w", newline="") as handle:
+            # This terminator makes csv.writer quote the bare "\r" too.
+            writer = csv.writer(handle, lineterminator="\r\n")
+            writer.writerow(["id", "p_real", "p_synth"])
+            writer.writerows([i, 0.01 * (k + 1), 0.5] for k, i in enumerate(ids))
+        out = tmp_path / "r.csv"
+        assert run(["test", tmp_path / "p.csv", "--alpha", "0.2", "--output", out]) == 0
+        header, rows, summary = read_result_table(str(out))
+        assert header == ["id", "p_real", "p_synth", "v", "rejected"]
+        assert [r[0] for r in rows] == ids
+        assert all(len(r) == 5 for r in rows)
+        assert summary["k_star"] == str(len(ids))
+        with open(out, newline="") as handle:
+            assert [r[0] for r in csv.reader(handle)][1:-1] == ids
 
     def test_round_trip_reproduces_rejections(self, tmp_path):
         rng = np.random.default_rng(60)
@@ -306,6 +324,16 @@ class TestCmdSimulate:
         assert run(self.ARGS + ["--sweep", "epsilon=0.3:0.1:0.1"]) == 2
         assert "sweep range" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sweep", ["n_real=nan", "n_real=1e400", "m=-inf"])
+    def test_non_finite_integer_sweep(self, capsys, sweep):
+        assert run(self.ARGS + ["--sweep", sweep]) == 2
+        assert "needs integers" in capsys.readouterr().err
+
+    def test_negative_seed_rejected_before_running(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "run_bernoulli_experiment", lambda config: 1 / 0)
+        assert run(self.ARGS + ["--seed", "-1"]) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+
     def test_mirror_alt_accepted(self, tmp_path):
         out = tmp_path / "w.csv"
         assert run(self.ARGS + ["--q-synth-null", "mirror-alt",
@@ -376,6 +404,10 @@ class TestCmdBench:
         assert run(["bench", "--sizes", "10", "--alpha", "2"]) == 2
         assert "alpha must be in (0, 1)" in capsys.readouterr().err
 
+    def test_negative_seed_is_validation_error(self, capsys):
+        assert run(["bench", "--sizes", "10", "--seed", "-1"]) == 2
+        assert "--seed must be >= 0" in capsys.readouterr().err
+
 
 class TestOutputFiles:
     def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch, capsys):
@@ -411,3 +443,109 @@ class TestOutputFiles:
         inp = write(tmp_path / "p.csv", PAIR_FILE)
         assert run(["test", inp, "--output", tmp_path / "absent" / "r.csv"]) == 3
         assert "No such file or directory" in capsys.readouterr().err
+
+
+class TestErrorContract:
+    """Seeded fuzz over flags, levels, sweeps and small input files.
+
+    Every call must end in exit 0, 2 or 3, with no traceback.
+    """
+
+    LEVELS = ["0.1", "0.3", "0.05", "0", "1", "nan", "-1", "2", "1e400", "-inf", "x"]
+    SWEEPS = ["epsilon=0.05,0.2", "alpha=0.5:0.95:0.2", "trials=1:2:1", "m=3,5",
+              "n_real=1e400", "n_real=nan", "n_real=-inf", "m=1.5", "rho=0.5:1.0:0.5",
+              "alpha=nan", "epsilon=0.2:0.1:0.1", "alpha=0:1:0", "alpha=a:b:c",
+              "n_synth=1000:2000:1000", "bogus=1", "alpha=", "=", "q_synth_null=2"]
+    FILES = {
+        "pairs.csv": b"id,p_real,p_synth\nh1,0.08,0.01\n\"a,b\",0.5,0.2\nh3,0,1\n",
+        "weighted.csv": b"id,p_real,p_synth,weight\nh1,0.01,0.2,2\nh2,0.5,0.5,0\n",
+        "bad_utf8.csv": b"id,p_real,p_synth\nh\xff1,0.1,0.2\n",
+        "ragged.csv": b"id,p_real,p_synth\nh1,0.1\nh2,0.1,0.2,0.3\n",
+        "quotes.csv": b"id,p_real,p_synth\n\"open,0.1,0.2\nh2,\"0.5\",0.1\n",
+        "cells.csv": b"id,p_real,p_synth\nh1,nan,0.2\nh2,1e400,-0\n",
+        "empty.csv": b"",
+        "header_only.csv": b"id,p_real,p_synth\n",
+        "crlf.csv": b"id,p_real,p_synth\r\nh1,0.01,0.02\r\n",
+        "weights.csv": b"weight\n1.5\n1.5\n",
+        "scores.csv": b"role,score\nreal,0.1\nreal,1.5\nsynth,0.3\ntest,2.5\ntest,-1\n",
+        "bad_roles.csv": b"role,score\nreal,0.1\nRaw,2\ntest,1\n",
+        "score.csv": b"score\n0.1\n0.7\n2.0\n",
+        "nan_score.csv": b"score\nnan\n",
+    }
+
+    def _argv(self, rng, files_dir, files, outputs):
+        pick = rng.choice
+
+        def maybe(*flag_values):
+            return list(flag_values) if rng.random() < 0.5 else []
+
+        def level():
+            # Half of the levels are valid, so that calls get past validation.
+            return pick(self.LEVELS[:3]) if rng.random() < 0.5 else pick(self.LEVELS)
+
+        def levels():
+            return maybe("--alpha", level()) + maybe("--epsilon", level())
+
+        def good(*names):
+            return str(files_dir / pick(names)) if rng.random() < 0.5 else pick(files)
+
+        output = pick(outputs)
+        out = [] if output is None else ["--output", output]
+        fmt = maybe("--format", pick(["csv", "json", "xml"]))
+        command = pick(["test", "outliers", "simulate", "bench", "junk"])
+        if command == "test":
+            return (["test", good("pairs.csv", "weighted.csv", "crlf.csv")] + levels()
+                    + fmt + out + maybe("--weights-file", pick(files))
+                    + maybe("--normalize-weights")
+                    + maybe("--mode", pick(["fast", "naive", "slow"])))
+        if command == "outliers":
+            if rng.random() < 0.5:
+                inputs = ["--scores", good("scores.csv")]
+            else:
+                inputs = ["--real", good("score.csv"), "--test", good("score.csv")]
+                inputs += maybe("--synth", pick(files)) + maybe("--scores", pick(files))
+            return (["outliers"] + inputs + levels() + fmt + out
+                    + maybe("--rho", pick(["0", "0.3", "1", "nan", "-0.5"]))
+                    + maybe("--jitter", "--seed", pick(["1", "-1", "x"])))
+        if command == "simulate":
+            return (["simulate", "--trials", pick(["1", "2", "3", "0", "x"]),
+                     "--m", pick(["1", "5", "20", "0"]), "--n-real", pick(["10", "30", "0"]),
+                     "--n-synth", pick(["20", "40", "3000"]), "--n", pick(["10", "20", "-2"])]
+                    + levels() + fmt + out
+                    + maybe("--experiment", pick(["bernoulli", "outlier", "other"]))
+                    + maybe("--sweep", pick(self.SWEEPS))
+                    + maybe("--seed", pick(["3", "-1", "1.5"]))
+                    + maybe("--rho", pick(["0.1", "nan", "1"]))
+                    + maybe("--q-synth-null", pick(["0.5", "mirror-alt", "hostile", "nan"]))
+                    + maybe("--frac-alt", level())
+                    + maybe("--mu-out", pick(["3", "nan", "inf"])))
+        if command == "bench":
+            return (["bench", "--sizes", pick(["5", "3,8", "0", "-4", "x", "", "5,,6"])]
+                    + levels() + out
+                    + maybe("--repeats", pick(["1", "0", "-1"]))
+                    + maybe("--seed", pick(["0", "7", "-1"])))
+        return pick([[], ["--bogus"], ["test"], ["simulate", "--trials"], ["bench"]])
+
+    def test_fuzzed_calls_keep_the_exit_contract(self, tmp_path, capsys):
+        files = [str(tmp_path / "missing.csv"), str(tmp_path)]
+        for name, data in self.FILES.items():
+            (tmp_path / name).write_bytes(data)
+            files.append(str(tmp_path / name))
+        outputs = [None, str(tmp_path / "out.csv"), str(tmp_path / "absent" / "o.csv"),
+                   str(tmp_path)]
+        rng = random.Random(20261018)
+        codes = collections.Counter()
+        for _ in range(200):
+            argv = self._argv(rng, tmp_path, files, outputs)
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects the command line
+                code = exc.code
+            except Exception as exc:
+                pytest.fail(f"{argv}: {exc!r}")
+            err = capsys.readouterr().err
+            assert code in (0, 2, 3), (argv, err)
+            assert "Traceback" not in err, argv
+            codes[code] += 1
+        # The fuzz reaches successful runs and both kinds of failure.
+        assert set(codes) == {0, 2, 3}

@@ -155,9 +155,15 @@ def ref_json(payload):
 
 def ref_csv(header, rows, summary=None):
     out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+    row_text = io.StringIO()
+    # The "\r\n" terminator makes csv.writer quote a field holding a bare
+    # carriage return as well; each row still ends in "\n".
+    writer = csv.writer(row_text, lineterminator="\r\n")
+    for row in [header, *rows]:
+        row_text.seek(0)
+        row_text.truncate()
+        writer.writerow(row)
+        out.write(row_text.getvalue()[:-2] + "\n")
     if summary is not None:
         out.write("# " + " ".join(f"{k}={v}" for k, v in summary.items()) + "\n")
     return out.getvalue()

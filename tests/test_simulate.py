@@ -10,15 +10,18 @@ import pytest
 from synthbh import (
     MIRROR_ALT,
     SimConfig,
+    StepUpConfig,
     TrialMetrics,
+    bh,
     fdp_and_power,
     randomized_binomial_pvalue,
     randomized_binomial_pvalues,
     run_bernoulli_experiment,
     run_outlier_experiment,
+    synth_bh,
 )
 from synthbh import conformal, simulate
-from synthbh.simulate import MAX_EXACT_BINOMIAL_N, resolve_thread_count
+from synthbh.simulate import MAX_EXACT_BINOMIAL_N
 
 
 def enumerated_tail(n: int, x: int) -> tuple[float, float]:
@@ -161,13 +164,12 @@ class TestBernoulliExperiment:
         b = run_bernoulli_experiment(SimConfig(seed=3, **self.SMALL))
         assert a.per_trial == b.per_trial
 
-    def test_thread_count_does_not_change_results(self, monkeypatch):
+    @pytest.mark.parametrize("block", [1, 60, 180, 10**6])
+    def test_block_boundaries_do_not_change_results(self, monkeypatch, block):
         config = SimConfig(seed=4, **self.SMALL)
-        monkeypatch.setenv("SYNTHBH_THREADS", "1")
-        serial = run_bernoulli_experiment(config)
-        monkeypatch.setenv("SYNTHBH_THREADS", "6")
-        threaded = run_bernoulli_experiment(config)
-        assert serial.per_trial == threaded.per_trial
+        default = run_bernoulli_experiment(config)
+        monkeypatch.setattr(simulate, "BLOCK_HYPOTHESES", block)
+        assert run_bernoulli_experiment(config).per_trial == default.per_trial
 
     def test_reports_all_methods(self):
         result = run_bernoulli_experiment(SimConfig(seed=5, **self.SMALL))
@@ -251,21 +253,101 @@ class TestOutlierExperiment:
         assert sorted(calls) == ["conformal_pvalues"] * 3 + ["merged_conformal_pvalues"] * 3
 
 
-class TestThreadResolution:
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("SYNTHBH_THREADS", "3")
-        assert resolve_thread_count() == 3
+def oracle_metrics(draws, alpha, epsilon):
+    """Per-trial metrics from separate bh, synth_bh and fdp_and_power calls."""
+    per_trial = {name: [] for name in simulate.METHOD_NAMES}
+    guarded = StepUpConfig(alpha=alpha, epsilon=epsilon, mode="fast")
+    for p_real, p_pooled, null_mask in draws:
+        runs = {
+            "BH-real": bh(p_real, alpha),
+            "BH-real+eps": bh(p_real, alpha + epsilon),
+            "BH-synth": bh(p_pooled, alpha),
+            "SynthBH": synth_bh(np.column_stack((p_real, p_pooled)), guarded),
+        }
+        for name, run in runs.items():
+            per_trial[name].append(fdp_and_power(run.rejected, null_mask))
+    return {name: tuple(rows) for name, rows in per_trial.items()}
 
-    def test_default_without_env(self, monkeypatch):
-        monkeypatch.delenv("SYNTHBH_THREADS", raising=False)
-        assert resolve_thread_count() >= 1
 
-    def test_rejects_garbage(self, monkeypatch):
-        monkeypatch.setenv("SYNTHBH_THREADS", "many")
-        with pytest.raises(ValueError, match="SYNTHBH_THREADS"):
-            resolve_thread_count()
+def stacked_metrics(draws, alpha, epsilon):
+    blocks = simulate._run_trials(draws.__getitem__, len(draws))
+    return simulate._score_trials(blocks, alpha, epsilon).per_trial
 
-    def test_rejects_nonpositive(self, monkeypatch):
-        monkeypatch.setenv("SYNTHBH_THREADS", "0")
-        with pytest.raises(ValueError, match="SYNTHBH_THREADS"):
-            resolve_thread_count()
+
+def crafted_draws(rng, trials, m, levels):
+    """Trials whose p-values sit on thresholds, tie, or reject all or nothing."""
+    ranks = np.arange(1.0, m + 1.0)
+    grid = np.concatenate([level * ranks / m for level in levels] + [[0.0, 0.5, 1.0]])
+    draws = []
+    for _ in range(trials):
+        kind = int(rng.integers(5))
+        if kind == 0:
+            p_real, p_pooled = np.zeros(m), np.zeros(m)
+        elif kind == 1:
+            p_real, p_pooled = np.ones(m), np.full(m, 0.9)
+        elif kind == 2:
+            p_real, p_pooled = np.full(m, 0.04), np.full(m, float(rng.random()))
+        elif kind == 3:
+            p_real, p_pooled = rng.choice(grid, m), rng.choice(grid, m)
+            p_pooled = np.nextafter(p_pooled, rng.choice([0.0, 1.0], m))
+            p_pooled = np.clip(p_pooled, 0.0, 1.0)
+        else:
+            p_real, p_pooled = rng.random(m) ** 3, rng.random(m) ** 3
+        draws.append((p_real, p_pooled, rng.random(m) < 0.7))
+    return draws
+
+
+class TestStackedScoring:
+    """Stacked scoring against separate step-up calls per trial."""
+
+    @pytest.mark.parametrize("trials", [1, 3, 4, 5, 9])
+    @pytest.mark.parametrize("m", [1, 7, 4096])
+    @pytest.mark.parametrize("alpha,epsilon", [(0.1, 0.1), (0.2, 0.0), (0.5, 0.4999999)])
+    def test_crafted_trials_match_oracle(self, trials, m, alpha, epsilon):
+        rng = np.random.default_rng([trials, m])
+        draws = crafted_draws(rng, trials, m, (alpha, alpha + epsilon))
+        assert stacked_metrics(draws, alpha, epsilon) == oracle_metrics(draws, alpha, epsilon)
+
+    @pytest.mark.parametrize("trials", [1, 3, 4, 5])
+    @pytest.mark.parametrize("extra", [
+        {"m": 4096},
+        {"m": 1},
+        {"m": 50, "q_synth_null": MIRROR_ALT},
+        {"m": 40, "frac_alt": 1.0, "q_alt": 1.0},
+        {"m": 40, "alpha": 0.3, "epsilon": 0.6999},
+    ])
+    def test_bernoulli_matches_oracle(self, trials, extra):
+        config = SimConfig(n_real=30, n_synth=60, trials=trials, seed=13, **extra)
+        draws = [simulate._bernoulli_trial(config, t) for t in range(trials)]
+        result = run_bernoulli_experiment(config)
+        assert result.per_trial == oracle_metrics(draws, config.alpha, config.epsilon)
+
+    def test_outlier_experiment_matches_oracle(self):
+        kwargs = dict(n=40, n_synth=80, m=30, outlier_frac=0.1, contamination_frac=0.1,
+                      rho=0.05, seed=14, mu_out=3.0)
+        draws = [simulate._outlier_trial(t, **kwargs) for t in range(6)]
+        result = run_outlier_experiment(trials=6, alpha=0.2, epsilon=0.1, **kwargs)
+        assert result.per_trial == oracle_metrics(draws, 0.2, 0.1)
+
+    def test_block_size_follows_m(self):
+        sizes = lambda m, trials: [
+            block[0].shape for block in simulate._run_trials(
+                lambda t: (np.zeros(m), np.zeros(m), np.ones(m, dtype=bool)), trials)
+        ]
+        assert sizes(4096, 9) == [(4, 4096), (4, 4096), (1, 4096)]
+        assert sizes(20000, 2) == [(1, 20000), (1, 20000)]
+        assert sizes(1000, 16) == [(16, 1000)]
+
+    def test_out_of_range_pvalue_rejected(self):
+        draws = [(np.array([0.1, 1.5]), np.array([0.1, 0.2]), np.ones(2, dtype=bool))]
+        with pytest.raises(ValueError, match="p_real"):
+            stacked_metrics(draws, 0.1, 0.1)
+        draws = [(np.array([0.1, 0.5]), np.array([np.nan, 0.2]), np.ones(2, dtype=bool))]
+        with pytest.raises(ValueError, match="p_pooled"):
+            stacked_metrics(draws, 0.1, 0.1)
+
+    @pytest.mark.parametrize("alpha,epsilon", [(0.6, 0.5), (0.1, -0.1), (0.0, 0.1)])
+    def test_levels_checked(self, alpha, epsilon):
+        draws = [(np.array([0.1]), np.array([0.1]), np.ones(1, dtype=bool))]
+        with pytest.raises(ValueError):
+            stacked_metrics(draws, alpha, epsilon)

@@ -19,6 +19,7 @@ from synthbh import (
     synth_bh,
     weighted_synth_bh,
 )
+from synthbh.stepup import stepup_rows
 
 
 def reference_bh(pvalues, alpha):
@@ -378,3 +379,46 @@ class TestMonotonicity:
                 for e in (0.0, 0.05, 0.1, 0.2, 0.4)
             ]
             assert ks == sorted(ks)
+
+
+def float_scan(row, alpha):
+    """k* of one row by the literal float comparison ``p_(k) <= alpha * k / m``."""
+    ordered = sorted(row.tolist())
+    m = len(ordered)
+    return max((k for k in range(1, m + 1) if ordered[k - 1] <= alpha * k / m), default=0)
+
+
+def boundary_rows(rng, rows, m, alpha):
+    """Rows drawn from thresholds alpha*k/m, their 1-ULP neighbours, ties, 0, 1."""
+    thresholds = alpha * np.arange(1.0, m + 1.0) / m
+    pool = np.concatenate([
+        thresholds,
+        np.nextafter(thresholds, 0.0),
+        np.nextafter(thresholds, 1.0),
+        [0.0, 1.0, alpha, np.nextafter(alpha, 1.0)],
+    ])
+    values = rng.choice(pool, size=(rows, m))
+    uniform = rng.random((rows, m)) < rng.random((rows, 1))
+    values[uniform] = rng.random(int(uniform.sum()))
+    return values
+
+
+class TestStepupRows:
+    def test_rows_match_separate_bh_calls(self):
+        rng = np.random.default_rng(30)
+        for _ in range(150):
+            rows, m = int(rng.integers(1, 12)), int(rng.integers(1, 60))
+            alpha = float(rng.choice([0.05, 0.1, 0.3, 0.7, 0.999]))
+            values = boundary_rows(rng, rows, m, alpha)
+            k_star, cutoff = stepup_rows(values, alpha)
+            for row, k, c in zip(values, k_star.tolist(), cutoff.tolist()):
+                single = bh(row, alpha)
+                assert k == single.k_star == float_scan(row, alpha)
+                assert np.array_equal(np.nonzero(row <= c)[0], single.rejected)
+                assert c == (np.sort(row)[k - 1] if k else -np.inf)
+
+    def test_all_rejected_and_none_rejected_rows(self):
+        values = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [0.2, 0.2, 0.2]])
+        k_star, cutoff = stepup_rows(values, 0.1)
+        assert k_star.tolist() == [3, 0, 0]
+        assert cutoff.tolist() == [0.0, -np.inf, -np.inf]
