@@ -73,6 +73,8 @@ class RunManifest:
 
 def _resolve_seed(seed: int | None) -> int:
     if seed is not None:
+        if seed < 0:
+            raise CliError(f"--seed must be >= 0, got {seed}")
         return seed
     drawn = secrets.randbits(63)
     print(f"seed={drawn}", file=sys.stderr)
@@ -371,8 +373,6 @@ def cmd_bench(manifest: RunManifest) -> int:
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     seed = _resolve_seed(manifest.seed)
-    if seed < 0:
-        raise CliError(f"--seed must be >= 0, got {seed}")
     records = []
     for m in sizes:
         rng = np.random.default_rng([seed, m])

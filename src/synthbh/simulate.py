@@ -44,8 +44,8 @@ MIRROR_ALT = "mirror-alt"
 
 METHOD_NAMES = ("BH-real", "BH-real+eps", "BH-synth", "SynthBH")
 
-# Hypotheses per stacked block of trials.  Larger blocks save no time and
-# raise peak memory.
+# Hypotheses per stacked block of trials.  It bounds the memory a block
+# takes; the number of trials per block follows from m alone.
 BLOCK_HYPOTHESES = 16384
 
 # One trial's draws: real p-values, pooled p-values and the null mask.

@@ -181,6 +181,11 @@ class TestCmdOutliers:
         lines += [f"test,{float(v)!r}" for v in test]
         return write(tmp_path / "scores.csv", "\n".join(lines) + "\n")
 
+    def test_negative_jitter_seed_names_flag(self, tmp_path, capsys):
+        path = self.role_file(tmp_path, real=[1.0, 2.0], synth=[], test=[3.0])
+        assert run(["outliers", "--scores", path, "--jitter", "--seed", "-1"]) == 2
+        assert "--seed must be >= 0" in capsys.readouterr().err
+
     def test_single_outlier_detected(self, tmp_path):
         path = self.role_file(
             tmp_path,
