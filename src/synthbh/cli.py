@@ -24,7 +24,6 @@ import math
 import secrets
 import sys
 import time
-from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -52,25 +51,6 @@ _OUTLIER_SWEEP_FIELDS = {
 }
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Everything one invocation is going to do, validated up front."""
-
-    command: str
-    inputs: tuple = ()
-    alpha: float = 0.1
-    epsilon: float = 0.0
-    weights_path: str | None = None
-    mode: str = "fast"
-    rho: float = 0.0
-    seed: int | None = None
-    trials: int = 100
-    sweep: str | None = None
-    output: str | None = None
-    fmt: str = "csv"
-    options: Mapping = field(default_factory=dict)
-
-
 def _resolve_seed(seed: int | None) -> int:
     if seed is not None:
         if seed < 0:
@@ -86,30 +66,29 @@ def _resolve_seed(seed: int | None) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_test(manifest: RunManifest) -> int:
+def cmd_test(args: argparse.Namespace) -> int:
     """Run the guarded step-up rule over a p-value table."""
-    path = manifest.inputs[0]
-    ids, pairs, column_weights = read_pvalue_table(path)
+    ids, pairs, column_weights = read_pvalue_table(args.input)
     weights = column_weights
-    if manifest.weights_path is not None:
+    if args.weights_file is not None:
         if column_weights is not None:
             raise CliError(
                 "weights given twice: drop the input's weight column or "
                 "the --weights-file flag"
             )
-        weights = read_single_column(manifest.weights_path, "weight")
+        weights = read_single_column(args.weights_file, "weight")
         if weights.size != len(ids):
             raise CliError(
-                f"{manifest.weights_path}: {weights.size} weights for "
+                f"{args.weights_file}: {weights.size} weights for "
                 f"{len(ids)} hypotheses"
             )
     try:
         config = StepUpConfig(
-            alpha=manifest.alpha,
-            epsilon=manifest.epsilon,
+            alpha=args.alpha,
+            epsilon=args.epsilon,
             weights=weights,
-            mode=manifest.mode,
-            normalize_weights=bool(manifest.options.get("normalize_weights", False)),
+            mode=args.mode,
+            normalize_weights=args.normalize_weights,
         )
         result = (
             weighted_synth_bh(pairs, config)
@@ -126,30 +105,29 @@ def cmd_test(manifest: RunManifest) -> int:
         "v": np.asarray(result.modified_pvalues, dtype=np.float64),
         "rejected": result.rejection_mask(),
     }
-    write_table(manifest.output, columns, manifest.fmt, {
+    write_table(args.output, columns, args.format, {
         "rows": ROWS,
         "k_star": result.k_star,
-        "alpha": manifest.alpha,
-        "epsilon": manifest.epsilon,
-        "mode": manifest.mode,
+        "alpha": args.alpha,
+        "epsilon": args.epsilon,
+        "mode": args.mode,
         "threshold": float(result.threshold_used),
     })
     return EXIT_OK
 
 
-def _load_bundle(manifest: RunManifest) -> ScoreBundle:
-    opts = manifest.options
-    if opts.get("scores"):
-        by_role = read_role_scores(opts["scores"])
+def _load_bundle(args: argparse.Namespace) -> ScoreBundle:
+    if args.scores and (args.real or args.synth or args.test):
+        raise CliError("give either --scores or --real/--synth/--test, not both")
+    if not args.scores and not (args.real and args.test):
+        raise CliError("score input required: --scores, or --real and --test")
+    if args.scores:
+        by_role = read_role_scores(args.scores)
         real, synth, test = by_role["real"], by_role["synth"], by_role["test"]
     else:
-        real = read_single_column(opts["real"], "score")
-        test = read_single_column(opts["test"], "score")
-        synth = (
-            read_single_column(opts["synth"], "score")
-            if opts.get("synth")
-            else np.empty(0)
-        )
+        real = read_single_column(args.real, "score")
+        test = read_single_column(args.test, "score")
+        synth = read_single_column(args.synth, "score") if args.synth else np.empty(0)
     if real.size == 0:
         raise CliError("real score set is empty")
     if test.size == 0:
@@ -157,21 +135,19 @@ def _load_bundle(manifest: RunManifest) -> ScoreBundle:
     return ScoreBundle(real_scores=real, synth_scores=synth, test_scores=test)
 
 
-def cmd_outliers(manifest: RunManifest) -> int:
+def cmd_outliers(args: argparse.Namespace) -> int:
     """Conformal outlier detection over score files."""
-    bundle = _load_bundle(manifest)
+    bundle = _load_bundle(args)
     try:
-        trimmed = trim_by_score(bundle.synth_scores, manifest.rho)
+        trimmed = trim_by_score(bundle.synth_scores, args.rho)
         working = ScoreBundle(
             real_scores=bundle.real_scores,
             synth_scores=trimmed,
             test_scores=bundle.test_scores,
         )
-        if manifest.options.get("jitter", False):
-            working = apply_jitter(working, JitterSpec(seed=_resolve_seed(manifest.seed)))
-        config = StepUpConfig(
-            alpha=manifest.alpha, epsilon=manifest.epsilon, mode=manifest.mode
-        )
+        if args.jitter:
+            working = apply_jitter(working, JitterSpec(seed=_resolve_seed(args.seed)))
+        config = StepUpConfig(alpha=args.alpha, epsilon=args.epsilon, mode=args.mode)
         p_real = conformal_pvalues(working.real_scores, working.test_scores)
         p_merged = merged_conformal_pvalues(
             working.real_scores, working.synth_scores, working.test_scores
@@ -187,13 +163,13 @@ def cmd_outliers(manifest: RunManifest) -> int:
         "p_merged": p_merged,
         "rejected": result.rejection_mask(),
     }
-    write_table(manifest.output, columns, manifest.fmt, {
+    write_table(args.output, columns, args.format, {
         "rows": ROWS,
         "k_star": result.k_star,
-        "alpha": manifest.alpha,
-        "epsilon": manifest.epsilon,
-        "mode": manifest.mode,
-        "rho": manifest.rho,
+        "alpha": args.alpha,
+        "epsilon": args.epsilon,
+        "mode": args.mode,
+        "rho": args.rho,
         "n_real": bundle.n_real,
         "n_synth_used": working.n_synth,
     })
@@ -247,22 +223,28 @@ def _summary_dicts(result) -> list[dict]:
     return [dataclasses.asdict(s) for s in result.summaries()]
 
 
-def cmd_simulate(manifest: RunManifest) -> int:
+def cmd_simulate(args: argparse.Namespace) -> int:
     """Run a Monte Carlo experiment, optionally sweeping one parameter."""
-    opts = dict(manifest.options)
-    experiment = opts.pop("experiment", "bernoulli")
-    seed = _resolve_seed(manifest.seed)
+    experiment = args.experiment
+    q_synth_null = args.q_synth_null
+    if q_synth_null != "mirror-alt":
+        try:
+            q_synth_null = float(q_synth_null)
+        except ValueError:
+            raise CliError(
+                f"--q-synth-null must be a probability or 'mirror-alt', "
+                f"got {q_synth_null!r}"
+            ) from None
+    seed = _resolve_seed(args.seed)
     if experiment == "bernoulli":
         allowed = _BERNOULLI_SWEEP_FIELDS
         base_kwargs = {
-            "n_real": opts["n_real"], "n_synth": opts["n_synth"], "m": opts["m"],
-            "frac_alt": opts["frac_alt"], "q_alt": opts["q_alt"],
-            "q_synth_null": opts["q_synth_null"], "q_synth_alt": opts["q_synth_alt"],
-            "alpha": manifest.alpha, "epsilon": manifest.epsilon,
-            "trials": manifest.trials, "seed": seed,
+            "n_real": args.n_real, "n_synth": args.n_synth, "m": args.m,
+            "frac_alt": args.frac_alt, "q_alt": args.q_alt,
+            "q_synth_null": q_synth_null, "q_synth_alt": args.q_synth_alt,
+            "alpha": args.alpha, "epsilon": args.epsilon,
+            "trials": args.trials, "seed": seed,
         }
-        if base_kwargs["q_synth_null"] != "mirror-alt":
-            base_kwargs["q_synth_null"] = float(base_kwargs["q_synth_null"])
 
         def check(kwargs):
             SimConfig(**kwargs)
@@ -273,12 +255,12 @@ def cmd_simulate(manifest: RunManifest) -> int:
     elif experiment == "outlier":
         allowed = _OUTLIER_SWEEP_FIELDS
         base_kwargs = {
-            "n": opts["n"], "n_synth": opts["n_synth"], "m": opts["m"],
-            "outlier_frac": opts["outlier_frac"],
-            "contamination_frac": opts["contamination_frac"],
-            "rho": manifest.rho, "mu_out": opts["mu_out"],
-            "alpha": manifest.alpha, "epsilon": manifest.epsilon,
-            "trials": manifest.trials, "seed": seed,
+            "n": args.n, "n_synth": args.n_synth, "m": args.m,
+            "outlier_frac": args.outlier_frac,
+            "contamination_frac": args.contamination_frac,
+            "rho": args.rho, "mu_out": args.mu_out,
+            "alpha": args.alpha, "epsilon": args.epsilon,
+            "trials": args.trials, "seed": seed,
         }
 
         def check(kwargs):
@@ -290,8 +272,8 @@ def cmd_simulate(manifest: RunManifest) -> int:
     else:
         raise CliError(f"unknown experiment {experiment!r}")
 
-    if manifest.sweep is not None:
-        param, values = _parse_sweep(manifest.sweep, allowed)
+    if args.sweep is not None:
+        param, values = _parse_sweep(args.sweep, allowed)
         sweep_info = {"param": param, "values": values}
         runs = [(value, {**base_kwargs, param: value}) for value in values]
     else:
@@ -333,12 +315,12 @@ def cmd_simulate(manifest: RunManifest) -> int:
         for trial, metrics in enumerate(result.trial_metrics(method))
     ]
     columns: dict[str, Sequence] = {}
-    if manifest.fmt == "json" or param is not None:
+    if args.format == "json" or param is not None:
         columns["param"] = [param] * len(trials)
         value_column = [t[0] for t in trials]
         # JSON keeps each sweep value's own type; CSV writes it as a float.
         columns["value"] = (
-            value_column if manifest.fmt == "json"
+            value_column if args.format == "json"
             else np.array(value_column, dtype=np.float64)
         )
     columns["method"] = [t[1] for t in trials]
@@ -346,33 +328,37 @@ def cmd_simulate(manifest: RunManifest) -> int:
     columns["fdp"] = np.array([t[3].fdp for t in trials], dtype=np.float64)
     columns["power"] = np.array([t[3].power for t in trials], dtype=np.float64)
     columns["rejections"] = np.array([t[3].rejections for t in trials], dtype=np.int64)
-    if manifest.fmt == "json":
-        write_table(manifest.output, columns, "json", {**summary_payload, "per_trial": ROWS})
+    if args.format == "json":
+        write_table(args.output, columns, "json", {**summary_payload, "per_trial": ROWS})
         return EXIT_OK
-    write_table(manifest.output, columns, "csv", {})
-    if manifest.output is not None:
-        stem = manifest.output[:-4] if manifest.output.endswith(".csv") else manifest.output
+    write_table(args.output, columns, "csv", {})
+    if args.output is not None:
+        stem = args.output[:-4] if args.output.endswith(".csv") else args.output
         write_json(stem + ".summary.json", summary_payload)
     return EXIT_OK
 
 
-def cmd_bench(manifest: RunManifest) -> int:
+def cmd_bench(args: argparse.Namespace) -> int:
     """Time the fast engine (and the naive oracle at small m)."""
-    sizes = manifest.options["sizes"]
-    repeats = manifest.options.get("repeats", 3)
-    if repeats < 1:
-        raise CliError(f"--repeats must be >= 1, got {repeats}")
+    sizes = []
+    for token in args.sizes.split(","):
+        try:
+            sizes.append(int(token))
+        except ValueError:
+            raise CliError(f"--sizes must be integers, got {token!r}") from None
+    if args.repeats < 1:
+        raise CliError(f"--repeats must be >= 1, got {args.repeats}")
     for m in sizes:
         if m < 1:
             raise CliError(f"sizes must be >= 1, got {m}")
     try:
         configs = {
-            mode: StepUpConfig(alpha=manifest.alpha, epsilon=manifest.epsilon, mode=mode)
+            mode: StepUpConfig(alpha=args.alpha, epsilon=args.epsilon, mode=mode)
             for mode in ("fast", "naive")
         }
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    seed = _resolve_seed(manifest.seed)
+    seed = _resolve_seed(args.seed)
     records = []
     for m in sizes:
         rng = np.random.default_rng([seed, m])
@@ -380,7 +366,7 @@ def cmd_bench(manifest: RunManifest) -> int:
         modes = ["fast"] if m > NAIVE_BENCH_CAP else ["fast", "naive"]
         for mode in modes:
             best = math.inf
-            for _ in range(repeats):
+            for _ in range(args.repeats):
                 t0 = time.perf_counter()
                 synth_bh(pairs, configs[mode])
                 best = min(best, time.perf_counter() - t0)
@@ -390,7 +376,7 @@ def cmd_bench(manifest: RunManifest) -> int:
         "mode": [r[1] for r in records],
         "seconds": np.array([r[2] for r in records], dtype=np.float64),
     }
-    write_table(manifest.output, columns, "csv", {})
+    write_table(args.output, columns, "csv", {})
     return EXIT_OK
 
 
@@ -476,93 +462,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _manifest_from_args(args: argparse.Namespace) -> RunManifest:
-    if args.command == "test":
-        return RunManifest(
-            command="test",
-            inputs=(args.input,),
-            alpha=args.alpha,
-            epsilon=args.epsilon,
-            weights_path=args.weights_file,
-            mode=args.mode,
-            output=args.output,
-            fmt=args.format,
-            options={"normalize_weights": args.normalize_weights},
-        )
-    if args.command == "outliers":
-        if args.scores and (args.real or args.synth or args.test):
-            raise CliError("give either --scores or --real/--synth/--test, not both")
-        if not args.scores and not (args.real and args.test):
-            raise CliError("score input required: --scores, or --real and --test")
-        return RunManifest(
-            command="outliers",
-            inputs=tuple(p for p in (args.scores, args.real, args.synth, args.test) if p),
-            alpha=args.alpha,
-            epsilon=args.epsilon,
-            mode=args.mode,
-            rho=args.rho,
-            seed=args.seed,
-            output=args.output,
-            fmt=args.format,
-            options={
-                "scores": args.scores,
-                "real": args.real,
-                "synth": args.synth,
-                "test": args.test,
-                "jitter": args.jitter,
-            },
-        )
-    if args.command == "simulate":
-        q_synth_null = args.q_synth_null
-        if q_synth_null != "mirror-alt":
-            try:
-                q_synth_null = float(q_synth_null)
-            except ValueError:
-                raise CliError(
-                    f"--q-synth-null must be a probability or 'mirror-alt', "
-                    f"got {q_synth_null!r}"
-                ) from None
-        return RunManifest(
-            command="simulate",
-            alpha=args.alpha,
-            epsilon=args.epsilon,
-            rho=args.rho,
-            seed=args.seed,
-            trials=args.trials,
-            sweep=args.sweep,
-            output=args.output,
-            fmt=args.format,
-            options={
-                "experiment": args.experiment,
-                "n_real": args.n_real,
-                "n_synth": args.n_synth,
-                "m": args.m,
-                "frac_alt": args.frac_alt,
-                "q_alt": args.q_alt,
-                "q_synth_null": q_synth_null,
-                "q_synth_alt": args.q_synth_alt,
-                "n": args.n,
-                "outlier_frac": args.outlier_frac,
-                "contamination_frac": args.contamination_frac,
-                "mu_out": args.mu_out,
-            },
-        )
-    sizes = []
-    for token in args.sizes.split(","):
-        try:
-            sizes.append(int(token))
-        except ValueError:
-            raise CliError(f"--sizes must be integers, got {token!r}") from None
-    return RunManifest(
-        command="bench",
-        alpha=args.alpha,
-        epsilon=args.epsilon,
-        seed=args.seed,
-        output=args.output,
-        options={"sizes": sizes, "repeats": args.repeats},
-    )
-
-
 _DISPATCH = {
     "test": cmd_test,
     "outliers": cmd_outliers,
@@ -574,8 +473,7 @@ _DISPATCH = {
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        manifest = _manifest_from_args(args)
-        return _DISPATCH[manifest.command](manifest)
+        return _DISPATCH[args.command](args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

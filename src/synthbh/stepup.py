@@ -20,8 +20,11 @@ In float arithmetic the naive guard ``p - k*eps/m`` and the fast guard
 fast answer is then authoritative.  Passing ``fractions.Fraction`` values
 (for the p-values and for ``alpha``/``epsilon``/``weights``) switches both
 modes to exact rational arithmetic, under which they agree bit for bit.
-Internally the exact path rescales everything to a common integer
-denominator so the fuzz suites run at numpy speed.
+Internally every exact run (``bh`` included) rescales its inputs to
+integers over one common denominator and runs the same scans as the float
+path, on int64 arrays when the magnitudes allow and on Python ints
+(object arrays) otherwise; no ``Fraction`` fallback remains.  The result
+still carries ``Fraction`` values.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Literal, NamedTuple, Sequence, Union
+from typing import Literal, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -37,8 +40,8 @@ Scalar = Union[float, Fraction]
 
 WEIGHT_SUM_ATOL = 1e-9
 
-# Largest magnitude allowed in the rescaled-integer exact path; beyond this
-# the engine falls back to pure Fraction arithmetic.
+# Largest magnitude allowed on int64 in the exact path; beyond this the
+# same scans run on Python ints.
 _INT64_SAFE = 2**62
 
 
@@ -184,20 +187,19 @@ def _as_prob_vector(values, name: str):
     if not items:
         raise ValueError(f"{name} must be nonempty")
     if any(isinstance(x, Fraction) for x in items):
-        out = []
-        for i, x in enumerate(items):
-            f = _as_fraction(x)
-            # 0 <= f <= 1 on the integer parts; a Fraction's denominator is positive.
-            if not (0 <= f.numerator <= f.denominator):
-                raise ValueError(f"{name}[{i}]={x!r} outside [0, 1]")
-            out.append(f)
-        return out, True
+        return _fraction_vector(items, name), True
     return _as_prob_vector(np.asarray(items, dtype=np.float64), name)
 
 
-def _as_fraction(x) -> Fraction:
+def _fraction_vector(items: list, name: str) -> list[Fraction]:
+    """Each entry as a ``Fraction`` (floats by their binary value), in [0, 1]."""
     # Fraction(f) of a Fraction f costs a full constructor call; skip it.
-    return x if isinstance(x, Fraction) else Fraction(x)
+    out = [x if isinstance(x, Fraction) else Fraction(x) for x in items]
+    for i, f in enumerate(out):
+        # 0 <= f <= 1 on the integer parts; a Fraction's denominator is positive.
+        if not (0 <= f.numerator <= f.denominator):
+            raise ValueError(f"{name}[{i}]={items[i]!r} outside [0, 1]")
+    return out
 
 
 def _split_pairs(pairs):
@@ -223,56 +225,15 @@ def _split_pairs(pairs):
         raise ValueError("pairs must be nonempty")
     first = [row[0] for row in rows]
     second = [row[1] for row in rows]
-    exact = any(isinstance(x, Fraction) for x in first + second)
-    if exact:
-        p, _ = _as_prob_vector([_as_fraction(x) for x in first], "p_real")
-        q, _ = _as_prob_vector([_as_fraction(x) for x in second], "p_pooled")
-        return p, q, True
+    if any(isinstance(x, Fraction) for x in first + second):
+        return _fraction_vector(first, "p_real"), _fraction_vector(second, "p_pooled"), True
     p, _ = _as_prob_vector(np.asarray(first, dtype=np.float64), "p_real")
     q, _ = _as_prob_vector(np.asarray(second, dtype=np.float64), "p_pooled")
     return p, q, False
 
 
 # ---------------------------------------------------------------------------
-# Exact-rational support: rescale to a common integer denominator when the
-# magnitudes fit in int64, else fall back to Fraction arithmetic.
-# ---------------------------------------------------------------------------
-
-
-def _lcm_denominator(fracs: Iterable[Fraction]) -> int:
-    d = 1
-    for f in fracs:
-        d = d * f.denominator // math.gcd(d, f.denominator)
-    return d
-
-
-def _scaled_ints(fracs: Sequence[Fraction], denom: int) -> np.ndarray:
-    return np.array(
-        [f.numerator * (denom // f.denominator) for f in fracs], dtype=np.int64
-    )
-
-
-def _exact_scaling(p, q, unit_fracs, thr_unit):
-    """Common denominator for p, q, per-hypothesis guard units, threshold unit.
-
-    Returns the denominator, or None when the rescaled magnitudes would not
-    fit comfortably in int64.
-    """
-    denom = _lcm_denominator([*p, *q, *unit_fracs, thr_unit])
-    m = len(p)
-    # Guard values reach p - m * unit; thresholds reach m * thr_unit.
-    bound = max(
-        denom,
-        m * max((abs(u.numerator * (denom // u.denominator)) for u in unit_fracs), default=0),
-        m * thr_unit.numerator * (denom // thr_unit.denominator),
-    )
-    if denom >= _INT64_SAFE or bound >= _INT64_SAFE:
-        return None
-    return denom
-
-
-# ---------------------------------------------------------------------------
-# Core step-up scans (dtype-agnostic: float64 or rescaled int64 arrays).
+# Core step-up scans (dtype-agnostic: float64, int64 or Python-int arrays).
 # ---------------------------------------------------------------------------
 
 
@@ -298,6 +259,8 @@ def stepup_rows(values: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarra
     # Rows ascend, so their column-wise minimum ascends too.
     lowest = ordered[0] if rows == 1 else ordered.min(axis=0)
     limit = int(lowest.searchsorted(alpha * m / m, side="right"))
+    if limit == 0:
+        return np.zeros(rows, dtype=np.intp), np.full(rows, -np.inf)
     # Ranks limit, ..., 1 and then a rank-0 sentinel that always passes, so
     # that argmax finds each row's largest passing rank.
     ranked = np.empty((rows, limit + 1))
@@ -313,28 +276,7 @@ def _naive_scan(p: np.ndarray, q: np.ndarray, units, thresholds: np.ndarray) -> 
     k_star = 0
     for k in range(1, m + 1):
         mod = np.minimum(p, np.maximum(q, p - k * units))
-        kth = np.partition(mod, k - 1)[k - 1]
-        if kth <= thresholds[k - 1]:
-            k_star = k
-    return k_star
-
-
-def _bh_fraction_scan(values: Sequence[Fraction], thresholds) -> int:
-    ordered = sorted(values)
-    k_star = 0
-    for k in range(1, len(ordered) + 1):
-        if ordered[k - 1] <= thresholds[k - 1]:
-            k_star = k
-    return k_star
-
-
-def _naive_fraction_scan(p, q, units, thresholds) -> int:
-    m = len(p)
-    k_star = 0
-    for k in range(1, m + 1):
-        mod = sorted(
-            min(pj, max(qj, pj - k * uj)) for pj, qj, uj in zip(p, q, units)
-        )
+        mod.partition(k - 1)     # in place: mod is a fresh array
         if mod[k - 1] <= thresholds[k - 1]:
             k_star = k
     return k_star
@@ -349,25 +291,8 @@ def bh(pvalues, alpha: Scalar) -> RejectionResult:
     _check_level("alpha", alpha)
     values, exact = _as_prob_vector(pvalues, "pvalues")
     if exact:
-        alpha = Fraction(alpha)
-        return _bh_exact(values, alpha)
+        return _stepup_exact(values, values, None, alpha, 0, "fast")
     return _scan_float(values, float(alpha))
-
-
-def _bh_exact(values: list[Fraction], alpha: Fraction) -> RejectionResult:
-    m = len(values)
-    thr_unit = alpha / m
-    denom = _exact_scaling(values, [], [], thr_unit)
-    if denom is not None:
-        scaled = _scaled_ints(values, denom)
-        thr = np.arange(1, m + 1, dtype=np.int64) * (
-            thr_unit.numerator * (denom // thr_unit.denominator)
-        )
-        k_star = _bh_scan(scaled, thr)
-    else:
-        thresholds = [alpha * k / m for k in range(1, m + 1)]
-        k_star = _bh_fraction_scan(values, thresholds)
-    return _assemble_exact(values, k_star, alpha, m)
 
 
 def _float_result(modified: np.ndarray, k_star: int, cutoff: float,
@@ -384,25 +309,6 @@ def _float_result(modified: np.ndarray, k_star: int, cutoff: float,
 def _scan_float(modified: np.ndarray, alpha: float) -> RejectionResult:
     k_star, cutoff = stepup_rows(modified[np.newaxis], alpha)
     return _float_result(modified, int(k_star[0]), cutoff[0], alpha)
-
-
-def _assemble_exact(modified, k_star: int, alpha: Fraction,
-                    m: int) -> RejectionResult:
-    if k_star == 0:
-        rejected = np.empty(0, dtype=np.int64)
-        threshold: Scalar = Fraction(0)
-    else:
-        cutoff = sorted(modified)[k_star - 1]
-        rejected = np.array(
-            [j for j, v in enumerate(modified) if v <= cutoff], dtype=np.int64
-        )
-        threshold = alpha * k_star / m
-    return RejectionResult(
-        k_star=k_star,
-        rejected=rejected,
-        modified_pvalues=list(modified),
-        threshold_used=threshold,
-    )
 
 
 def synth_bh(pairs, config: StepUpConfig) -> RejectionResult:
@@ -440,7 +346,7 @@ def weighted_synth_bh(pairs, config: StepUpConfig) -> RejectionResult:
 
 def _stepup_impl(p, q, weights, config: StepUpConfig, exact: bool) -> RejectionResult:
     if exact:
-        return _stepup_exact(p, q, weights, config)
+        return _stepup_exact(p, q, weights, config.alpha, config.epsilon, config.mode)
     return _stepup_float(p, q, weights, config)
 
 
@@ -468,44 +374,67 @@ def _stepup_float(p: np.ndarray, q: np.ndarray, weights,
     return _float_result(modified, k_star, cutoff, alpha)
 
 
-def _stepup_exact(p, q, weights, config: StepUpConfig) -> RejectionResult:
+def _stepup_exact(p: list[Fraction], q: list[Fraction], weights, alpha: Scalar,
+                  epsilon: Scalar, mode: str) -> RejectionResult:
+    """Exact run of either mode on integers over one common denominator.
+
+    p, q, the threshold unit ``alpha/m`` and the guard units ``w_j*eps/m``
+    are rescaled to integers; fast mode further multiplies through by the
+    denominators of the ratios ``c_j`` so that ``c_j * p_j`` is an integer
+    too.  The arrays are int64 when every magnitude the scans reach stays
+    below ``_INT64_SAFE``, else Python ints (object dtype).
+    """
     m = len(p)
-    alpha = Fraction(config.alpha)
-    eps = Fraction(config.epsilon)
-    # Unit weights give every hypothesis the same guard unit and ratio, so
-    # each is computed once rather than per hypothesis.
-    w = None if weights is None else [Fraction(x) for x in weights]
-    units = [eps / m] * m if w is None else [wj * eps / m for wj in w]
+    alpha, eps = Fraction(alpha), Fraction(epsilon)
     thr_unit = alpha / m
-    if config.mode == "fast":
+    # Unit weights give every hypothesis the same guard unit and ratio, so
+    # each is computed once and broadcast.
+    w = None if weights is None else [Fraction(x) for x in weights]
+    units = [eps / m] if w is None else [wj * eps / m for wj in w]
+    denom = math.lcm(*{f.denominator for f in p}, *{f.denominator for f in q},
+                     thr_unit.denominator, *{u.denominator for u in units})
+    # Values and thresholds (at most alpha) lie in [0, scale]; naive guard
+    # values reach down to p - m * unit.
+    if mode == "fast":
         ratios = (
-            [alpha / (alpha + eps)] * m if w is None
+            [alpha / (alpha + eps)] if w is None
             else [alpha / (alpha + wj * eps) for wj in w]
         )
-        v = [min(pj, max(qj, rj * pj)) for pj, qj, rj in zip(p, q, ratios)]
-        denom = _exact_scaling(v, [], [], thr_unit)
-        if denom is not None:
-            thr = np.arange(1, m + 1, dtype=np.int64) * (
-                thr_unit.numerator * (denom // thr_unit.denominator)
-            )
-            k_star = _bh_scan(_scaled_ints(v, denom), thr)
-        else:
-            thresholds = [thr_unit * k for k in range(1, m + 1)]
-            k_star = _bh_fraction_scan(v, thresholds)
-        return _assemble_exact(v, k_star, alpha, m)
-    denom = _exact_scaling(p, q, units, thr_unit)
-    if denom is not None:
-        ps = _scaled_ints(p, denom)
-        qs = _scaled_ints(q, denom)
-        us = _scaled_ints(units, denom)
-        thr = np.arange(1, m + 1, dtype=np.int64) * (
-            thr_unit.numerator * (denom // thr_unit.denominator)
-        )
-        k_star = _naive_scan(ps, qs, us, thr)
+        boost = math.lcm(*{r.denominator for r in ratios})
+        bound = scale = denom * boost
     else:
-        thresholds = [thr_unit * k for k in range(1, m + 1)]
-        k_star = _naive_fraction_scan(p, q, units, thresholds)
-    modified = [
-        min(pj, max(qj, pj - k_star * uj)) for pj, qj, uj in zip(p, q, units)
-    ]
-    return _assemble_exact(modified, k_star, alpha, m)
+        boost, scale = 1, denom
+        guard = [u.numerator * (denom // u.denominator) for u in units]
+        bound = max(scale, m * max(guard))
+    dtype = np.int64 if bound < _INT64_SAFE else object
+
+    def ints(fracs, unit):
+        return np.array([f.numerator * (unit // f.denominator) for f in fracs], dtype=dtype)
+
+    base_p = ints(p, denom)
+    big_p, big_q = base_p * boost, ints(q, scale)
+    thresholds = np.arange(1, m + 1, dtype=dtype) * (
+        thr_unit.numerator * (scale // thr_unit.denominator)
+    )
+    if mode == "fast":
+        modified = np.minimum(big_p, np.maximum(big_q, base_p * ints(ratios, boost)))
+        k_star = _bh_scan(modified, thresholds)
+    else:
+        guard = np.array(guard, dtype=dtype)
+        k_star = _naive_scan(big_p, big_q, guard, thresholds)
+        modified = np.minimum(big_p, np.maximum(big_q, big_p - k_star * guard))
+    if k_star:
+        cutoff = np.partition(modified, k_star - 1)[k_star - 1]
+        rejected = np.nonzero(modified <= cutoff)[0]
+    else:
+        rejected = np.empty(0, dtype=np.int64)
+    # A value equal to its input reuses that input's Fraction object.
+    values = list(p)
+    for j in np.nonzero(modified != big_p)[0].tolist():
+        values[j] = q[j] if modified[j] == big_q[j] else Fraction(int(modified[j]), scale)
+    return RejectionResult(
+        k_star=k_star,
+        rejected=rejected,
+        modified_pvalues=values,
+        threshold_used=alpha * k_star / m if k_star else Fraction(0),
+    )

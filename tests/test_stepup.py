@@ -19,11 +19,12 @@ from synthbh import (
     synth_bh,
     weighted_synth_bh,
 )
+from synthbh import stepup
 from synthbh.stepup import stepup_rows
 
 
 def reference_bh(pvalues, alpha):
-    """Plain step-up by exhaustive scan: k* and the rejected index set."""
+    """Plain step-up by exhaustive scan: k*, the rejected index set, the values."""
     m = len(pvalues)
     ordered = sorted(pvalues)
     k_star = 0
@@ -31,9 +32,9 @@ def reference_bh(pvalues, alpha):
         if ordered[k - 1] * m <= alpha * k:
             k_star = k
     if k_star == 0:
-        return 0, set()
+        return 0, set(), list(pvalues)
     cutoff = ordered[k_star - 1]
-    return k_star, {j for j, p in enumerate(pvalues) if p <= cutoff}
+    return k_star, {j for j, p in enumerate(pvalues) if p <= cutoff}, list(pvalues)
 
 
 def reference_guarded(pairs, alpha, eps, weights=None):
@@ -54,9 +55,32 @@ def reference_guarded(pairs, alpha, eps, weights=None):
         for (p, q), w in zip(pairs, weights)
     ]
     if k_star == 0:
-        return 0, set()
+        return 0, set(), mod_final
     cutoff = sorted(mod_final)[k_star - 1]
-    return k_star, {j for j, v in enumerate(mod_final) if v <= cutoff}
+    return k_star, {j for j, v in enumerate(mod_final) if v <= cutoff}, mod_final
+
+
+def reference_static(pairs, alpha, eps, weights=None):
+    """Fast mode's values v_j = min(p, max(q, p * alpha / (alpha + w_j * eps)))."""
+    if weights is None:
+        weights = [Fraction(1)] * len(pairs)
+    return [min(p, max(q, p * alpha / (alpha + w * eps))) for (p, q), w in zip(pairs, weights)]
+
+
+def assert_exact_result(result, reference, alpha, modified=None):
+    """Compare k*, rejections, Fraction values and threshold with a reference.
+
+    ``modified`` overrides the reference's values (fast mode reports the
+    static ``v_j`` rather than the guard-k* values).
+    """
+    k_star, rejected, values = reference
+    m = len(values)
+    assert result.k_star == k_star
+    assert result.rejected.tolist() == sorted(rejected)
+    assert all(type(v) is Fraction for v in result.modified_pvalues)
+    assert result.modified_pvalues == (values if modified is None else modified)
+    assert type(result.threshold_used) is Fraction
+    assert result.threshold_used == (alpha * k_star / m if k_star else 0)
 
 
 def random_exact_instance(rng, max_m=60):
@@ -66,6 +90,27 @@ def random_exact_instance(rng, max_m=60):
     alpha = Fraction(int(rng.integers(1, 31)), 100)
     eps = Fraction(int(rng.integers(1, 31)), 100)
     return pairs, alpha, eps
+
+
+def random_wide_instance(rng, max_m=25):
+    """Denominators in [2**31, 2**32): their common multiple leaves int64."""
+    m = int(rng.integers(1, max_m + 1))
+    dens = rng.integers(2**31, 2**32, size=(m, 2)).tolist()
+    pairs = [tuple(Fraction(int(rng.integers(0, d + 1)), d) for d in row) for row in dens]
+    # Some p-values sit low enough that rejections happen.
+    for j in np.nonzero(rng.random(m) < 0.3)[0].tolist():
+        pairs[j] = (pairs[j][0] / 50, pairs[j][1] / 50)
+    alpha = Fraction(int(rng.integers(1, 31)), 100)
+    eps = Fraction(int(rng.integers(1, 31)), 100)
+    return pairs, alpha, eps
+
+
+def random_weights(rng, m):
+    """Exact weights summing to m, some of them zero."""
+    raw = [int(v) for v in rng.integers(0, 11, m)]
+    if sum(raw) == 0:
+        raw[0] = 1
+    return [Fraction(r * m, sum(raw)) for r in raw]
 
 
 class TestBh:
@@ -101,11 +146,23 @@ class TestBh:
             m = int(rng.integers(1, 40))
             vals = [Fraction(int(v), 1000) for v in rng.integers(0, 1001, m)]
             alpha = Fraction(int(rng.integers(1, 31)), 100)
-            ref_k, ref_set = reference_bh(vals, alpha)
             result = bh(vals, alpha)
-            assert result.k_star == ref_k
-            assert set(result.rejected.tolist()) == ref_set
+            assert_exact_result(result, reference_bh(vals, alpha), alpha)
             assert len(result.rejected) == result.k_star
+
+    def test_wide_denominators_match_reference(self):
+        rng = np.random.default_rng(21)
+        for _ in range(60):
+            pairs, alpha, _ = random_wide_instance(rng)
+            vals = [p for p, _ in pairs]
+            assert_exact_result(bh(vals, alpha), reference_bh(vals, alpha), alpha)
+
+    def test_modified_pvalues_reuse_exact_inputs(self):
+        vals = [Fraction(1, 100), Fraction(1, 2), 0.25]
+        result = bh(vals, Fraction(1, 10))
+        assert result.modified_pvalues[0] is vals[0]
+        assert result.modified_pvalues[1] is vals[1]
+        assert result.modified_pvalues[2] == Fraction(1, 4)
 
     def test_float_matches_reference_on_grid(self):
         # Grid p-values are exactly representable enough that float BH
@@ -116,7 +173,7 @@ class TestBh:
             m = int(rng.integers(1, 40))
             ints = rng.integers(0, 1001, m)
             vals = ints / 1000.0
-            ref_k, ref_set = reference_bh(
+            ref_k, ref_set, _ = reference_bh(
                 [Fraction(int(v), 1000) for v in ints], Fraction(7, 100)
             )
             result = bh(vals, 0.07)
@@ -193,15 +250,37 @@ class TestSynthBh:
         rng = np.random.default_rng(14)
         for _ in range(150):
             pairs, alpha, eps = random_exact_instance(rng)
-            ref_k, ref_set = reference_guarded(pairs, alpha, eps)
+            ref = reference_guarded(pairs, alpha, eps)
             naive = synth_bh(pairs, StepUpConfig(alpha=alpha, epsilon=eps, mode="naive"))
             fast = synth_bh(pairs, StepUpConfig(alpha=alpha, epsilon=eps, mode="fast"))
-            assert naive.k_star == fast.k_star == ref_k
-            assert set(naive.rejected.tolist()) == ref_set
-            assert np.array_equal(naive.rejected, fast.rejected)
-            assert len(fast.rejected) == ref_k
+            assert_exact_result(naive, ref, alpha)
+            assert_exact_result(fast, ref, alpha, reference_static(pairs, alpha, eps))
+            assert len(fast.rejected) == ref[0]
 
-    def test_huge_denominators_fall_back_to_rationals(self):
+    def test_wide_denominators_match_reference(self):
+        rng = np.random.default_rng(22)
+        for _ in range(40):
+            pairs, alpha, eps = random_wide_instance(rng)
+            ref = reference_guarded(pairs, alpha, eps)
+            for mode in ("naive", "fast"):
+                result = synth_bh(pairs, StepUpConfig(alpha=alpha, epsilon=eps, mode=mode))
+                static = reference_static(pairs, alpha, eps) if mode == "fast" else None
+                assert_exact_result(result, ref, alpha, static)
+
+    @pytest.mark.parametrize("mode", ["naive", "fast"])
+    def test_modified_pvalues_reuse_exact_inputs(self, mode):
+        pairs = [
+            (Fraction(1, 100), Fraction(1, 2)),
+            (Fraction(1, 2), Fraction(49, 100)),
+            (Fraction(1, 2), Fraction(1, 100)),
+        ]
+        config = StepUpConfig(alpha=Fraction(1, 10), epsilon=Fraction(1, 10), mode=mode)
+        result = synth_bh(pairs, config)
+        assert result.modified_pvalues[0] is pairs[0][0]
+        assert result.modified_pvalues[1] is pairs[1][1]
+        assert result.modified_pvalues[2] < pairs[2][0]
+
+    def test_huge_denominators_run_on_python_ints(self):
         # Denominators chosen so no int64 common scale exists.
         primes = [999999937, 999999893, 999999883]
         pairs = [
@@ -210,11 +289,11 @@ class TestSynthBh:
             (Fraction(2, 3), Fraction(1, 2)),
         ]
         alpha, eps = Fraction(1, 7), Fraction(1, 11)
-        ref_k, ref_set = reference_guarded(pairs, alpha, eps)
+        ref = reference_guarded(pairs, alpha, eps)
         for mode in ("naive", "fast"):
             result = synth_bh(pairs, StepUpConfig(alpha=alpha, epsilon=eps, mode=mode))
-            assert result.k_star == ref_k
-            assert set(result.rejected.tolist()) == ref_set
+            static = reference_static(pairs, alpha, eps) if mode == "fast" else None
+            assert_exact_result(result, ref, alpha, static)
 
     def test_float_modes_agree_on_random_instances(self):
         rng = np.random.default_rng(15)
@@ -288,20 +367,34 @@ class TestWeightedSynthBh:
         for mode in ("naive", "fast"):
             for _ in range(75):
                 pairs, alpha, eps = random_exact_instance(rng, max_m=30)
-                m = len(pairs)
-                raw = [int(v) for v in rng.integers(0, 11, m)]
-                total = sum(raw)
-                if total == 0:
-                    raw[0] = 1
-                    total = 1
-                weights = [Fraction(r * m, total) for r in raw]
-                ref_k, ref_set = reference_guarded(pairs, alpha, eps, weights)
+                weights = random_weights(rng, len(pairs))
                 result = weighted_synth_bh(
                     pairs,
                     StepUpConfig(alpha=alpha, epsilon=eps, weights=weights, mode=mode),
                 )
-                assert result.k_star == ref_k
-                assert set(result.rejected.tolist()) == ref_set
+                static = (
+                    reference_static(pairs, alpha, eps, weights) if mode == "fast" else None
+                )
+                assert_exact_result(
+                    result, reference_guarded(pairs, alpha, eps, weights), alpha, static
+                )
+
+    def test_wide_denominators_match_reference(self):
+        rng = np.random.default_rng(23)
+        for mode in ("naive", "fast"):
+            for _ in range(30):
+                pairs, alpha, eps = random_wide_instance(rng)
+                weights = random_weights(rng, len(pairs))
+                result = weighted_synth_bh(
+                    pairs,
+                    StepUpConfig(alpha=alpha, epsilon=eps, weights=weights, mode=mode),
+                )
+                static = (
+                    reference_static(pairs, alpha, eps, weights) if mode == "fast" else None
+                )
+                assert_exact_result(
+                    result, reference_guarded(pairs, alpha, eps, weights), alpha, static
+                )
 
     def test_requires_weights(self):
         with pytest.raises(ValueError, match="requires config.weights"):
@@ -311,6 +404,62 @@ class TestWeightedSynthBh:
         config = StepUpConfig(alpha=0.1, epsilon=0.1, weights=[1.5, 0.5])
         with pytest.raises(ValueError, match="length"):
             weighted_synth_bh([(0.1, 0.1)], config)
+
+
+class TestInt64Limit:
+    """Exact runs just below and just above the int64 limit of the engine.
+
+    Each instance's rescaled magnitude is ``growth * d``, where ``d`` is the
+    common denominator of its inputs.  Fast mode multiplies ``d`` by the
+    denominators of its ratios; in the weighted naive run the guard value
+    ``p - m * unit`` reaches ``-3d/2``.  Values sit 1/d on either side of a
+    threshold, so every integer counts.
+    """
+
+    ALPHA, EPS = Fraction(1, 2), Fraction(3, 4)
+    WEIGHTS = [Fraction(0), Fraction(2)]
+    CASES = {
+        # name: (growth, mode, weighted); fast ratios 2/5, or 1 and 1/4.
+        "bh": (1, None, False),
+        "naive": (1, "naive", False),
+        "fast": (5, "fast", False),
+        "weighted-naive": (Fraction(3, 2), "naive", True),
+        "weighted-fast": (4, "fast", True),
+    }
+
+    @staticmethod
+    def denominator(growth, above):
+        """A multiple of 16 whose product with ``growth`` is just below/above the limit."""
+        return 16 * ((stepup._INT64_SAFE - 1) // (16 * growth) + int(above))
+
+    @pytest.mark.parametrize("above", [False, True], ids=["int64", "python-int"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_each_dtype_matches_reference(self, monkeypatch, case, above):
+        growth, mode, weighted = self.CASES[case]
+        d = self.denominator(growth, above)
+        assert (growth * d < stepup._INT64_SAFE) != above
+        pairs = [
+            (Fraction(1, d), Fraction(1, d)),
+            (Fraction(1, 2) + Fraction(1, d), Fraction(1, 2) - Fraction(1, d)),
+        ]
+        seen = []
+        for name in ("_bh_scan", "_naive_scan"):
+            def spy(values, *rest, _scan=getattr(stepup, name)):
+                seen.append(values.dtype)
+                return _scan(values, *rest)
+            monkeypatch.setattr(stepup, name, spy)
+        alpha, eps = self.ALPHA, self.EPS
+        weights = self.WEIGHTS if weighted else None
+        if mode is None:
+            p = [a for a, _ in pairs]
+            result, ref, static = bh(p, alpha), reference_bh(p, alpha), None
+        else:
+            config = StepUpConfig(alpha=alpha, epsilon=eps, weights=weights, mode=mode)
+            result = (weighted_synth_bh if weighted else synth_bh)(pairs, config)
+            ref = reference_guarded(pairs, alpha, eps, weights)
+            static = reference_static(pairs, alpha, eps, weights) if mode == "fast" else None
+        assert seen == [np.dtype(object) if above else np.dtype(np.int64)]
+        assert_exact_result(result, ref, alpha, static)
 
 
 class TestStepUpConfig:
