@@ -11,9 +11,12 @@ Two execution modes are provided:
   run on static modified values ``v_j = min(p_j, max(q_j, c_j * p_j))``
   with ``c_j = alpha / (alpha + w_j * epsilon)``.  One sort, O(m log m)
   time, O(m) memory.
-* ``"naive"`` executes the literal rank-by-rank loop in Theta(m^2) time.
-  It is retained as a test oracle; the two modes select identical k* and
-  rejection sets.
+* ``"naive"`` tests the literal rank-adaptive rule at every rank k: are at
+  least k guarded values ``min(p_j, max(q_j, p_j - k * w_j * epsilon / m))``
+  at most ``alpha * k / m``?  Ranks are tested a block at a time, so the
+  work is Theta(m^2) and the memory bounded: about ``_NAIVE_BLOCK``
+  values, or one row of m when m is larger.  It is retained as a test
+  oracle; the two modes select identical k* and rejection sets.
 
 In float arithmetic the naive guard ``p - k*eps/m`` and the fast guard
 ``c * p`` can land on opposite sides of a threshold by one ULP, and the
@@ -43,6 +46,11 @@ WEIGHT_SUM_ATOL = 1e-9
 # Largest magnitude allowed on int64 in the exact path; beyond this the
 # same scans run on Python ints.
 _INT64_SAFE = 2**62
+
+# Guarded values held at once by the naive scan's rank blocks.  Smaller
+# blocks pay more interpreter overhead per rank; larger ones fall out of
+# the CPU cache at large m and run slower.
+_NAIVE_BLOCK = 2**16
 
 
 class PValuePair(NamedTuple):
@@ -94,16 +102,21 @@ class StepUpConfig:
         if m == 0:
             raise ValueError("weights must be nonempty")
         if exact:
-            if any(x < 0 for x in w):
+            if any(isinstance(x, float) and not math.isfinite(x) for x in w):
+                raise ValueError("weights must be finite")
+            w = [_fraction(x) for x in w]
+            if any(f.numerator < 0 for f in w):
                 raise ValueError("weights must be nonnegative")
-            total = sum(w)
+            # The sum, exactly, as one integer over the common denominator.
+            den, nums = _over_common_denominator(w)
+            total = sum(nums)
             if self.normalize_weights:
                 if total == 0:
                     raise ValueError("cannot normalize all-zero weights")
-                return [x * m / total for x in w]
-            if total != m:
+                return [Fraction(a * m, total) for a in nums]
+            if total != m * den:
                 raise ValueError(
-                    f"weights must sum to m={m}, got {float(total)!r}"
+                    f"weights must sum to m={m}, got {total / den!r}"
                 )
             return w
         if not np.all(np.isfinite(w)):
@@ -191,9 +204,27 @@ def _as_prob_vector(values, name: str):
     return _as_prob_vector(np.asarray(items, dtype=np.float64), name)
 
 
+def _fraction(x) -> Fraction:
+    """``x`` as a ``Fraction`` (a float by its binary value)."""
+    return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def _over_common_denominator(fracs: list[Fraction]) -> tuple[int, list[int]]:
+    """``(d, a)`` with ``fracs[j] == a[j] / d``, d the lcm of the denominators."""
+    d = math.lcm(*{f.denominator for f in fracs})
+    return d, [f.numerator * (d // f.denominator) for f in fracs]
+
+
+def _lowest_terms(num: int, den: int) -> tuple[int, int]:
+    """Numerator and denominator of num/den (den > 0) in lowest terms."""
+    g = math.gcd(num, den)
+    return num // g, den // g
+
+
 def _fraction_vector(items: list, name: str) -> list[Fraction]:
     """Each entry as a ``Fraction`` (floats by their binary value), in [0, 1]."""
     # Fraction(f) of a Fraction f costs a full constructor call; skip it.
+    # Inline rather than through _fraction: this runs once per input value.
     out = [x if isinstance(x, Fraction) else Fraction(x) for x in items]
     for i, f in enumerate(out):
         # 0 <= f <= 1 on the integer parts; a Fraction's denominator is positive.
@@ -271,15 +302,36 @@ def stepup_rows(values: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarra
 
 
 def _naive_scan(p: np.ndarray, q: np.ndarray, units, thresholds: np.ndarray) -> int:
-    """Literal rank-adaptive loop; ``units`` is scalar or per-hypothesis."""
+    """Literal rank-adaptive rule; ``units`` is scalar or per-hypothesis.
+
+    k* is the largest k whose k-th smallest guarded value
+    ``min(p, max(q, p - k * units))`` is at most ``thresholds[k-1]``, that
+    is, for which at least k guarded values are.  Ranks are tested from the
+    top down, a block of them at a time in one buffer of about
+    ``_NAIVE_BLOCK`` guarded values, and the first block with a passing
+    rank holds k*.
+    """
     m = p.shape[0]
-    k_star = 0
-    for k in range(1, m + 1):
-        mod = np.minimum(p, np.maximum(q, p - k * units))
-        mod.partition(k - 1)     # in place: mod is a fresh array
-        if mod[k - 1] <= thresholds[k - 1]:
-            k_star = k
-    return k_star
+    per = min(m, max(1, _NAIVE_BLOCK // m))
+    rows = np.empty((per, m), dtype=p.dtype)
+    passing = np.empty((per, m), dtype=bool)
+    per_hypothesis = np.shape(units) == p.shape
+    for top in range(m, 0, -per):
+        low = max(top - per, 0)
+        ranks = np.arange(low + 1, top + 1)
+        block, hit = rows[:top - low], passing[:top - low]
+        ks = ranks.astype(p.dtype)[:, np.newaxis]
+        # A (K, 1) shift broadcasts along each row; a per-hypothesis one
+        # is written into the buffer first.
+        shift = np.multiply(ks, units, out=block) if per_hypothesis else ks * units
+        np.subtract(p, shift, out=block)
+        np.maximum(block, q, out=block)
+        np.minimum(block, p, out=block)
+        np.less_equal(block, thresholds[low:top, np.newaxis], out=hit)
+        found = np.nonzero(np.count_nonzero(hit, axis=1) >= ranks)[0]
+        if found.size:
+            return low + int(found[-1]) + 1
+    return 0
 
 
 def bh(pvalues, alpha: Scalar) -> RejectionResult:
@@ -385,26 +437,33 @@ def _stepup_exact(p: list[Fraction], q: list[Fraction], weights, alpha: Scalar,
     below ``_INT64_SAFE``, else Python ints (object dtype).
     """
     m = len(p)
-    alpha, eps = Fraction(alpha), Fraction(epsilon)
+    alpha, eps = _fraction(alpha), _fraction(epsilon)
     thr_unit = alpha / m
-    # Unit weights give every hypothesis the same guard unit and ratio, so
-    # each is computed once and broadcast.
-    w = None if weights is None else [Fraction(x) for x in weights]
-    units = [eps / m] if w is None else [wj * eps / m for wj in w]
+    # The weights over their common denominator: w_j = a_j / d_w.  Unit
+    # weights give every hypothesis the same guard unit and ratio, so each
+    # is computed once and broadcast.
+    if weights is None:
+        d_w, nums = 1, [1]
+    else:
+        d_w, nums = _over_common_denominator([_fraction(x) for x in weights])
+    # Guard units w_j*eps/m = a_j*eps_n / (d_w*eps_d*m), in lowest terms.
+    unit_den = d_w * eps.denominator * m
+    units = [_lowest_terms(a * eps.numerator, unit_den) for a in nums]
     denom = math.lcm(*{f.denominator for f in p}, *{f.denominator for f in q},
-                     thr_unit.denominator, *{u.denominator for u in units})
+                     thr_unit.denominator, *{d for _, d in units})
     # Values and thresholds (at most alpha) lie in [0, scale]; naive guard
     # values reach down to p - m * unit.
     if mode == "fast":
-        ratios = (
-            [alpha / (alpha + eps)] if w is None
-            else [alpha / (alpha + wj * eps) for wj in w]
-        )
-        boost = math.lcm(*{r.denominator for r in ratios})
+        # c_j = alpha/(alpha + w_j*eps) = b / (b + a_j*eps_n*alpha_d),
+        # with b = alpha_n*d_w*eps_d.
+        b = alpha.numerator * d_w * eps.denominator
+        step = eps.numerator * alpha.denominator
+        ratios = [_lowest_terms(b, b + a * step) for a in nums]
+        boost = math.lcm(*{d for _, d in ratios})
         bound = scale = denom * boost
     else:
         boost, scale = 1, denom
-        guard = [u.numerator * (denom // u.denominator) for u in units]
+        guard = [n * (denom // d) for n, d in units]
         bound = max(scale, m * max(guard))
     dtype = np.int64 if bound < _INT64_SAFE else object
 
@@ -417,7 +476,8 @@ def _stepup_exact(p: list[Fraction], q: list[Fraction], weights, alpha: Scalar,
         thr_unit.numerator * (scale // thr_unit.denominator)
     )
     if mode == "fast":
-        modified = np.minimum(big_p, np.maximum(big_q, base_p * ints(ratios, boost)))
+        c = np.array([n * (boost // d) for n, d in ratios], dtype=dtype)
+        modified = np.minimum(big_p, np.maximum(big_q, base_p * c))
         k_star = _bh_scan(modified, thresholds)
     else:
         guard = np.array(guard, dtype=dtype)

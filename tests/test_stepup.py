@@ -396,6 +396,26 @@ class TestWeightedSynthBh:
                     result, reference_guarded(pairs, alpha, eps, weights), alpha, static
                 )
 
+    def test_cancelling_weight_denominators_stay_on_int64(self, monkeypatch):
+        # epsilon's numerator cancels the weights' common denominator d, so
+        # the naive guard units w_j*eps/m have denominators near 2**42.  Not
+        # reduced, they would carry d as well, and the scale would leave int64.
+        d = 2**40 + 15
+        alpha, eps = Fraction(1, 10), Fraction(d, 2 * d + 1)
+        weights = [Fraction(1, d), 2 - Fraction(1, d)]
+        pairs = [(Fraction(1, 100), Fraction(1, 200)), (Fraction(3, 10), Fraction(1, 50))]
+        seen = []
+
+        def spy(values, *rest, _scan=stepup._naive_scan):
+            seen.append(values.dtype)
+            return _scan(values, *rest)
+
+        monkeypatch.setattr(stepup, "_naive_scan", spy)
+        config = StepUpConfig(alpha=alpha, epsilon=eps, weights=weights, mode="naive")
+        result = weighted_synth_bh(pairs, config)
+        assert seen == [np.dtype(np.int64)]
+        assert_exact_result(result, reference_guarded(pairs, alpha, eps, weights), alpha)
+
     def test_requires_weights(self):
         with pytest.raises(ValueError, match="requires config.weights"):
             weighted_synth_bh([(0.1, 0.1)], StepUpConfig(alpha=0.1, epsilon=0.1))
@@ -494,6 +514,24 @@ class TestStepUpConfig:
                 alpha=0.1, epsilon=0.1, weights=[Fraction(1, 2), Fraction(3, 2) + Fraction(1, 10**12)]
             )
 
+    def test_normalize_mixed_float_and_fraction_weights_exactly(self):
+        config = StepUpConfig(
+            alpha=Fraction(1, 10), epsilon=Fraction(1, 10),
+            weights=[0.1, Fraction(1), Fraction(1)], normalize_weights=True,
+        )
+        assert all(type(w) is Fraction for w in config.weights)
+        assert sum(config.weights) == 3
+        assert config.weights[0] == Fraction(0.1) * 3 / (Fraction(0.1) + 2)
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_exact_weights_rejected(self, bad, normalize):
+        with pytest.raises(ValueError, match="weights must be finite"):
+            StepUpConfig(
+                alpha=Fraction(1, 10), epsilon=Fraction(1, 10),
+                weights=[bad, Fraction(1), Fraction(1)], normalize_weights=normalize,
+            )
+
     @pytest.mark.parametrize("eps", [-0.1, 1.0, float("nan")])
     def test_invalid_epsilon(self, eps):
         with pytest.raises(ValueError):
@@ -571,3 +609,112 @@ class TestStepupRows:
         k_star, cutoff = stepup_rows(values, 0.1)
         assert k_star.tolist() == [3, 0, 0]
         assert cutoff.tolist() == [0.0, -np.inf, -np.inf]
+
+
+def loop_naive_scan(p, q, units, thresholds):
+    """The literal rule rank by rank: one partition of the guarded values per rank."""
+    m = p.shape[0]
+    k_star = 0
+    for k in range(1, m + 1):
+        mod = np.minimum(p, np.maximum(q, p - k * units))
+        mod.partition(k - 1)
+        if mod[k - 1] <= thresholds[k - 1]:
+            k_star = k
+    return k_star
+
+
+def scan_instance(rng, m, dtype, scale=10**6):
+    """(p, q, units, thresholds) of one naive scan on float64, int64 or object ints.
+
+    Values are drawn from the thresholds, their nearest neighbours (1 ULP
+    for floats, 1 for integers), values one to three guard steps above
+    them, 0, the top value and uniform draws, so ties are common.  Units
+    are one scalar or per-hypothesis, with zero weights among the latter.
+    """
+    alpha = float(rng.choice([0.05, 0.1, 0.3, 0.9]))
+    eps = float(rng.choice([0.0, 0.05, 0.2, 0.6]))
+    weights = rng.integers(0, 4, m) * (rng.random() < 0.5)
+    if dtype is np.float64:
+        top = 1.0
+        thresholds = alpha * np.arange(1, m + 1) / m
+        below, above = np.nextafter(thresholds, -np.inf), np.nextafter(thresholds, np.inf)
+        unit = eps / m
+        units = unit if not weights.any() else weights * unit
+    else:
+        top = scale
+        thresholds = np.arange(1, m + 1, dtype=dtype) * int(alpha * scale / m + 1)
+        below, above = thresholds - 1, thresholds + 1
+        unit = int(eps * scale / m)
+        units = (
+            np.array([unit], dtype=dtype) if not weights.any()
+            else weights.astype(dtype) * unit
+        )
+    steps = thresholds[:, np.newaxis] + np.arange(1, 4, dtype=dtype) * unit
+    ends = np.array([0, top], dtype=dtype)
+    pool = np.concatenate([thresholds, below, above, steps.ravel(), ends])
+    pq = rng.choice(pool, size=(2, m))
+    uniform = rng.random((2, m)) < rng.random()
+    draws = rng.random(int(uniform.sum())) * top
+    pq[uniform] = draws if dtype is np.float64 else [int(x) for x in draws]
+    return pq[0], pq[1], units, thresholds
+
+
+class TestNaiveScan:
+    """The blocked naive scan against the per-rank loop it replaced."""
+
+    @pytest.mark.parametrize("budget", [None, 1, 7, 64])
+    @pytest.mark.parametrize(
+        "dtype", [np.float64, np.int64, object], ids=["float64", "int64", "object"]
+    )
+    def test_matches_loop_on_fuzz(self, monkeypatch, dtype, budget):
+        if budget is not None:
+            monkeypatch.setattr(stepup, "_NAIVE_BLOCK", budget)
+        rng = np.random.default_rng(40 + (budget or 0))
+        for _ in range(120):
+            m = int(rng.integers(1, 50))
+            p, q, units, thresholds = scan_instance(rng, m, dtype)
+            assert p.dtype == np.dtype(dtype)
+            expected = loop_naive_scan(p, q, units, thresholds)
+            assert stepup._naive_scan(p, q, units, thresholds) == expected
+
+    def test_object_values_above_int64(self):
+        rng = np.random.default_rng(41)
+        scale = 2**70 + 12345
+        hits = 0
+        for _ in range(60):
+            m = int(rng.integers(1, 30))
+            p, q, units, thresholds = scan_instance(rng, m, object, scale=scale)
+            p[rng.random(m) < 0.3] += 2**64      # values beyond any int64
+            expected = loop_naive_scan(p, q, units, thresholds)
+            hits += expected > 0
+            assert stepup._naive_scan(p, q, units, thresholds) == expected
+        assert hits
+
+    @pytest.mark.parametrize("per", [1, 2, 5])
+    @pytest.mark.parametrize("blocks", [1, 2])
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_every_k_star_at_block_edges(self, monkeypatch, per, blocks, extra):
+        # m ranks in blocks of `per`: one rank short of, exactly at and one
+        # past the edge of the first or second block.  The first k
+        # hypotheses pass at every rank up to k, so each k* from 0 to m is
+        # the largest of several passing ranks.
+        m = max(1, blocks * per + extra)
+        monkeypatch.setattr(stepup, "_NAIVE_BLOCK", per * m)
+        thresholds = 0.1 * np.arange(1, m + 1) / m
+        q = np.ones(m)
+        for k in range(m + 1):
+            p = np.where(np.arange(m) < k, 0.0, 1.0)
+            assert loop_naive_scan(p, q, 0.01, thresholds) == k
+            assert stepup._naive_scan(p, q, 0.01, thresholds) == k
+
+    def test_exact_naive_with_small_blocks_matches_reference(self, monkeypatch):
+        monkeypatch.setattr(stepup, "_NAIVE_BLOCK", 5)
+        rng = np.random.default_rng(42)
+        for _ in range(40):
+            pairs, alpha, eps = random_exact_instance(rng, max_m=25)
+            weights = random_weights(rng, len(pairs))
+            config = StepUpConfig(alpha=alpha, epsilon=eps, weights=weights, mode="naive")
+            assert_exact_result(
+                weighted_synth_bh(pairs, config),
+                reference_guarded(pairs, alpha, eps, weights), alpha,
+            )
