@@ -28,8 +28,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .conformal import JitterSpec, ScoreBundle, apply_jitter, conformal_pvalues, \
-    merged_conformal_pvalues, trim_by_score
+from .conformal import JitterSpec, ScoreBundle, outlier_pvalues, trim_by_score
 from .simulate import SimConfig, check_outlier_experiment, run_bernoulli_experiment, \
     run_outlier_experiment
 from .stepup import StepUpConfig, synth_bh, weighted_synth_bh
@@ -140,18 +139,10 @@ def cmd_outliers(args: argparse.Namespace) -> int:
     bundle = _load_bundle(args)
     try:
         trimmed = trim_by_score(bundle.synth_scores, args.rho)
-        working = ScoreBundle(
-            real_scores=bundle.real_scores,
-            synth_scores=trimmed,
-            test_scores=bundle.test_scores,
-        )
-        if args.jitter:
-            working = apply_jitter(working, JitterSpec(seed=_resolve_seed(args.seed)))
+        working = dataclasses.replace(bundle, synth_scores=trimmed)
+        jitter = JitterSpec(seed=_resolve_seed(args.seed)) if args.jitter else None
         config = StepUpConfig(alpha=args.alpha, epsilon=args.epsilon, mode=args.mode)
-        p_real = conformal_pvalues(working.real_scores, working.test_scores)
-        p_merged = merged_conformal_pvalues(
-            working.real_scores, working.synth_scores, working.test_scores
-        )
+        p_real, p_merged = outlier_pvalues(working, jitter)
         result = synth_bh(np.column_stack((p_real, p_merged)), config)
     except ValueError as exc:
         raise CliError(str(exc)) from exc

@@ -5,9 +5,10 @@ outlier-like), ``conformal_pvalue`` returns the rank-based p-value
 ``(#{reference >= test} + 1) / (n + 1)``.  ``merged_conformal_pvalue``
 pools an auxiliary score set into the reference set, lowering the floor
 from ``1/(n+1)`` to ``1/(n+N+1)``.  ``trim_by_score`` drops the most
-outlier-like fraction of an auxiliary set before pooling, and
-``detect_outliers`` wires both p-value families into the guarded step-up
-procedure from :mod:`synthbh.stepup`.
+outlier-like fraction of an auxiliary set before pooling.
+``outlier_pvalues``, the one p-value stage, jitters a score bundle when
+asked and returns both p-value families from one sort of each score set;
+``detect_outliers`` feeds them to :func:`synthbh.stepup.synth_bh`.
 
 All indicator comparisons are weak (``>=``).  Every output of
 ``conformal_pvalue`` is exactly ``k / (n + 1)`` for an integer k, and
@@ -118,6 +119,28 @@ def apply_jitter(bundle: ScoreBundle, spec: JitterSpec) -> ScoreBundle:
     )
 
 
+def _count_at_least(scores: np.ndarray, test: np.ndarray) -> np.ndarray:
+    """``#{scores >= t}`` for each test score t, from one sort of ``scores``."""
+    return scores.size - np.searchsorted(np.sort(scores), test, side="left")
+
+
+def outlier_pvalues(bundle: ScoreBundle,
+                    jitter: JitterSpec | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """``(p_real, p_merged)`` for every test score, after optional jitter.
+
+    One count over the reference scores serves both p-values.  Trimming the
+    auxiliary set is left to the caller (:func:`trim_by_score`).
+    """
+    if jitter is not None:
+        bundle = apply_jitter(bundle, jitter)
+    count_real = _count_at_least(bundle.real_scores, bundle.test_scores)
+    count_all = count_real + _count_at_least(bundle.synth_scores, bundle.test_scores)
+    return (
+        (count_real + 1) / (bundle.n_real + 1),
+        (count_all + 1) / (bundle.n_real + bundle.n_synth + 1),
+    )
+
+
 def conformal_pvalues(real_scores, test_scores) -> np.ndarray:
     """Rank-based p-values ``(#{real >= test} + 1) / (n + 1)``, vectorized.
 
@@ -125,11 +148,7 @@ def conformal_pvalues(real_scores, test_scores) -> np.ndarray:
     reference score); a test score at or below the reference minimum
     yields exactly 1.
     """
-    real = _as_score_vector(real_scores, "real_scores")
-    test = _as_score_vector(test_scores, "test_scores")
-    ordered = np.sort(real)
-    count_ge = real.size - np.searchsorted(ordered, test, side="left")
-    return (count_ge + 1) / (real.size + 1)
+    return outlier_pvalues(ScoreBundle(real_scores, np.empty(0), test_scores))[0]
 
 
 def conformal_pvalue(real_scores, test_score: float) -> float:
@@ -143,14 +162,7 @@ def merged_conformal_pvalues(real_scores, synth_scores, test_scores) -> np.ndarr
     Returns ``(#{real >= test} + #{synth >= test} + 1) / (n + N + 1)``.
     With ``N == 0`` this coincides with :func:`conformal_pvalues` exactly.
     """
-    real = _as_score_vector(real_scores, "real_scores")
-    synth = _as_score_vector(synth_scores, "synth_scores", allow_empty=True)
-    test = _as_score_vector(test_scores, "test_scores")
-    ordered_real = np.sort(real)
-    ordered_synth = np.sort(synth)
-    count_ge = real.size - np.searchsorted(ordered_real, test, side="left")
-    count_ge += synth.size - np.searchsorted(ordered_synth, test, side="left")
-    return (count_ge + 1) / (real.size + synth.size + 1)
+    return outlier_pvalues(ScoreBundle(real_scores, synth_scores, test_scores))[1]
 
 
 def merged_conformal_pvalue(real_scores, synth_scores, test_score: float) -> float:
@@ -187,18 +199,12 @@ def detect_outliers(
 ) -> RejectionResult:
     """Guarded step-up outlier detection over a score bundle.
 
-    Computes the reference-only p-value and the pooled p-value for every
-    test score (after optional jitter) and feeds the pairs to
-    :func:`synthbh.stepup.synth_bh`.  Rejected indices refer to positions
-    in ``bundle.test_scores``.  With an empty auxiliary set the pooled
-    values equal the reference-only ones and the run degenerates to the
-    plain step-up rule on them.
+    Feeds the p-value pairs of :func:`outlier_pvalues` (after optional
+    jitter) to :func:`synthbh.stepup.synth_bh`.  Rejected indices refer to
+    positions in ``bundle.test_scores``.  With an empty auxiliary set the
+    pooled values equal the reference-only ones and the run degenerates to
+    the plain step-up rule on them.
     """
     if config.weights is not None:
         raise ValueError("detect_outliers requires a config without weights")
-    scored = apply_jitter(bundle, jitter) if jitter is not None else bundle
-    p_real = conformal_pvalues(scored.real_scores, scored.test_scores)
-    p_merged = merged_conformal_pvalues(
-        scored.real_scores, scored.synth_scores, scored.test_scores
-    )
-    return synth_bh(np.column_stack((p_real, p_merged)), config)
+    return synth_bh(np.column_stack(outlier_pvalues(bundle, jitter)), config)

@@ -3,17 +3,19 @@
 Two pure scalar kernels live here.  ``synthetic_powered_pvalue`` lets a
 pooled real+auxiliary p-value replace the real-data p-value, but never by
 more than a guard ``delta``: the result is clamped to
-``[p_real - delta, p_real]``.  ``static_modified_pvalue`` is the rank-free
-equivalent used by the fast step-up path: for every threshold ``t`` with
+``[p_real - delta, p_real]``.  ``static_modified_pvalue`` is its rank-free
+equivalent: for every threshold ``t`` with
 ``delta = (epsilon / alpha) * t`` and ``c = alpha / (alpha + epsilon)``,
 
     synthetic_powered_pvalue(p, q, delta) <= t
         <=>  static_modified_pvalue(p, q, c) <= t
 
-Both kernels accept ``float`` or ``fractions.Fraction`` inputs and preserve
-the input type, so callers can run exact rational comparisons where a float
-``c * p`` versus ``p - delta`` could disagree by one ULP at a threshold
-boundary.  NaN inputs are rejected, never ordered.
+No pipeline calls them: they are the scalar reference that the tests
+compare the array kernel of ``synthbh.stepup`` against.  Both accept
+``float`` or ``fractions.Fraction`` inputs and preserve the input type, so
+callers can run exact rational comparisons where a float ``c * p`` versus
+``p - delta`` could disagree by one ULP at a threshold boundary.  NaN
+inputs are rejected, never ordered.
 """
 
 from __future__ import annotations

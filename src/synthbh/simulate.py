@@ -33,8 +33,8 @@ from typing import Callable, Iterator, Mapping, Union
 
 import numpy as np
 
-from .conformal import conformal_pvalues, merged_conformal_pvalues, trim_by_score
-from .stepup import StepUpConfig, _check_level, _check_prob_array, stepup_rows
+from .conformal import ScoreBundle, outlier_pvalues, trim_by_score
+from .stepup import StepUpConfig, stepup_guarded
 
 MAX_EXACT_BINOMIAL_N = 2000
 
@@ -314,21 +314,21 @@ def _score_trials(blocks: Iterator[Draws], alpha: float,
     rejection sets of ``bh`` at alpha, ``bh`` at alpha + epsilon, ``bh`` on
     the pooled p-values and fast ``synth_bh``, with the same checks.
     """
-    StepUpConfig(alpha=alpha, epsilon=epsilon)
-    _check_level("alpha", alpha + epsilon)
-    alpha, relaxed = float(alpha), float(alpha + epsilon)
-    ratio = alpha / (alpha + float(epsilon))
+    guarded = StepUpConfig(alpha=alpha, epsilon=epsilon)
+    relaxed, plain = StepUpConfig(alpha=alpha + epsilon), StepUpConfig(alpha=alpha)
     per_trial: dict[str, list[TrialMetrics]] = {name: [] for name in METHOD_NAMES}
     for p_real, p_pooled, null_mask in blocks:
-        _check_prob_array("p_real", p_real)
-        _check_prob_array("p_pooled", p_pooled)
-        guarded = np.minimum(p_real, np.maximum(p_pooled, ratio * p_real))
         n_alt = np.maximum(np.count_nonzero(~null_mask, axis=1), 1)
-        runs = zip(METHOD_NAMES, (p_real, p_real, p_pooled, guarded),
-                   (alpha, relaxed, alpha, alpha))
-        for name, values, level in runs:
-            _, cutoff = stepup_rows(values, level)
-            rejected = values <= cutoff[:, np.newaxis]
+        # bh is the guarded rule at epsilon = 0, where v = p.  The first
+        # run, with p_pooled as q, also checks both arrays.
+        runs = (
+            ("BH-real", p_real, p_pooled, plain),
+            ("BH-real+eps", p_real, p_real, relaxed),
+            ("BH-synth", p_pooled, p_pooled, plain),
+            ("SynthBH", p_real, p_pooled, guarded),
+        )
+        for name, p, q, config in runs:
+            _, rejected, _ = stepup_guarded(p, q, config)
             n_rej = np.count_nonzero(rejected, axis=1)
             false_rej = np.count_nonzero(rejected & null_mask, axis=1)
             fdp = false_rej / np.maximum(n_rej, 1)
@@ -373,13 +373,10 @@ def _outlier_trial(
     test_out = rng.normal(mu_out, 1.0, m_out)
     test_in = rng.normal(0.0, 1.0, m - m_out)
     synth = trim_by_score(np.concatenate([synth_clean, synth_bad]), rho)
-    test = np.concatenate([test_out, test_in])
+    bundle = ScoreBundle(real, synth, np.concatenate([test_out, test_in]))
     null_mask = np.ones(m, dtype=bool)
     null_mask[:m_out] = False
-
-    p_real = conformal_pvalues(real, test)
-    p_merged = merged_conformal_pvalues(real, synth, test)
-    return p_real, p_merged, null_mask
+    return (*outlier_pvalues(bundle), null_mask)
 
 
 def check_outlier_experiment(

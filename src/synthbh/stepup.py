@@ -23,16 +23,20 @@ In float arithmetic the naive guard ``p - k*eps/m`` and the fast guard
 fast answer is then authoritative.  Passing ``fractions.Fraction`` values
 (for the p-values and for ``alpha``/``epsilon``/``weights``) switches both
 modes to exact rational arithmetic, under which they agree bit for bit.
-Internally every exact run (``bh`` included) rescales its inputs to
-integers over one common denominator and runs the same scans as the float
-path, on int64 arrays when the magnitudes allow and on Python ints
-(object arrays) otherwise; no ``Fraction`` fallback remains.  The result
-still carries ``Fraction`` values.
+
+One kernel, ``_guarded``, computes every guarded value and one row-wise
+scan, ``stepup_rows``, runs every fast step-up, on float64, int64 or Python
+int (object) arrays.  ``stepup_guarded`` runs either mode on the rows of
+(T, m) float p-values; ``bh`` (the guarded rule at ``epsilon = 0``, where
+``v = p``), ``synth_bh`` and ``weighted_synth_bh`` call it with T = 1.  An
+exact run rescales its inputs to integers over one common denominator and
+runs the same kernel and scans; the result still carries ``Fraction``s.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal, NamedTuple, Sequence, Union
@@ -78,7 +82,10 @@ class StepUpConfig:
     normalize_weights: bool = False
 
     def __post_init__(self) -> None:
-        _check_level("alpha", self.alpha)
+        if isinstance(self.alpha, float) and not math.isfinite(self.alpha):
+            raise ValueError(f"alpha must be finite, got {self.alpha!r}")
+        if not (0 < self.alpha < 1):
+            raise ValueError(f"alpha must be in (0, 1), got {self.alpha!r}")
         if isinstance(self.epsilon, float) and not math.isfinite(self.epsilon):
             raise ValueError(f"epsilon must be finite, got {self.epsilon!r}")
         if not (0 <= self.epsilon < 1):
@@ -107,18 +114,8 @@ class StepUpConfig:
             w = [_fraction(x) for x in w]
             if any(f.numerator < 0 for f in w):
                 raise ValueError("weights must be nonnegative")
-            # The sum, exactly, as one integer over the common denominator.
-            den, nums = _over_common_denominator(w)
-            total = sum(nums)
-            if self.normalize_weights:
-                if total == 0:
-                    raise ValueError("cannot normalize all-zero weights")
-                return [Fraction(a * m, total) for a in nums]
-            if total != m * den:
-                raise ValueError(
-                    f"weights must sum to m={m}, got {total / den!r}"
-                )
-            return w
+            den, nums = _exact_weights(w, self.normalize_weights)
+            return [Fraction(a, den) for a in nums] if self.normalize_weights else w
         if not np.all(np.isfinite(w)):
             raise ValueError("weights must be finite")
         if np.any(w < 0):
@@ -163,38 +160,25 @@ class RejectionResult:
         return mask
 
 
-def _check_level(name: str, value: Scalar) -> None:
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    if not (0 < value < 1):
-        raise ValueError(f"{name} must be in (0, 1), got {value!r}")
-
-
-def _raise_bad_entry(name: str, vec: np.ndarray) -> None:
-    """Pinpoint the offending entry of a failed range check (NaN included)."""
-    bad = np.nonzero(~((vec >= 0) & (vec <= 1)))[0]
-    i = int(bad[0])
-    if not np.isfinite(vec[i]):
-        raise ValueError(f"{name} contains non-finite values")
-    raise ValueError(f"{name}[{i}]={float(vec[i])!r} outside [0, 1]")
-
-
 def _check_prob_array(name: str, vec: np.ndarray) -> None:
     """Validate [0, 1] membership with two reduction passes; NaN fails both."""
     if vec.size == 0:
         raise ValueError(f"{name} must be nonempty")
-    lo, hi = vec.min(), vec.max()
-    if not (lo >= 0 and hi <= 1):
-        _raise_bad_entry(name, vec.reshape(-1))
+    if not (vec.min() >= 0 and vec.max() <= 1):
+        vec = vec.reshape(-1)
+        i = int(np.nonzero(~((vec >= 0) & (vec <= 1)))[0][0])
+        if not np.isfinite(vec[i]):
+            raise ValueError(f"{name} contains non-finite values")
+        raise ValueError(f"{name}[{i}]={float(vec[i])!r} outside [0, 1]")
 
 
 def _as_prob_vector(values, name: str):
-    """Return (vector, exact) where vector is float64 ndarray or Fraction list."""
+    """Return (vector, exact): a float64 ndarray, whose range
+    ``stepup_guarded`` checks, or the triple of ``_fraction_vector``."""
     if isinstance(values, np.ndarray) and values.dtype != object:
         vec = np.asarray(values, dtype=np.float64)
         if vec.ndim != 1:
             raise ValueError(f"{name} must be one-dimensional")
-        _check_prob_array(name, vec)
         return vec, False
     items = list(values)
     if not items:
@@ -215,22 +199,44 @@ def _over_common_denominator(fracs: list[Fraction]) -> tuple[int, list[int]]:
     return d, [f.numerator * (d // f.denominator) for f in fracs]
 
 
+def _exact_weights(weights: list[Fraction], normalize: bool) -> tuple[int, list[int]]:
+    """``(d, a)`` with weight j equal to ``a[j] / d`` and ``sum(a) == m * d``.
+
+    Weights whose exact sum is not m are rescaled exactly when
+    ``normalize`` is set and rejected otherwise.
+    """
+    m = len(weights)
+    den, nums = _over_common_denominator(weights)
+    total = sum(nums)
+    if total == m * den:
+        return den, nums
+    if not normalize:
+        raise ValueError(
+            f"weights must sum to m={m} exactly in an exact run, got {Fraction(total, den)}"
+        )
+    if total == 0:
+        raise ValueError("cannot normalize all-zero weights")
+    return total, [a * m for a in nums]
+
+
 def _lowest_terms(num: int, den: int) -> tuple[int, int]:
     """Numerator and denominator of num/den (den > 0) in lowest terms."""
     g = math.gcd(num, den)
     return num // g, den // g
 
 
-def _fraction_vector(items: list, name: str) -> list[Fraction]:
-    """Each entry as a ``Fraction`` (floats by their binary value), in [0, 1]."""
+def _fraction_vector(items: list, name: str) -> tuple[list[Fraction], tuple, tuple]:
+    """Each entry as a ``Fraction`` (floats by their binary value), in [0, 1],
+    with the numerators and denominators, read once here for the engine."""
     # Fraction(f) of a Fraction f costs a full constructor call; skip it.
     # Inline rather than through _fraction: this runs once per input value.
-    out = [x if isinstance(x, Fraction) else Fraction(x) for x in items]
-    for i, f in enumerate(out):
-        # 0 <= f <= 1 on the integer parts; a Fraction's denominator is positive.
-        if not (0 <= f.numerator <= f.denominator):
-            raise ValueError(f"{name}[{i}]={items[i]!r} outside [0, 1]")
-    return out
+    fracs = [x if isinstance(x, Fraction) else Fraction(x) for x in items]
+    nums, dens = zip(*[f.as_integer_ratio() for f in fracs])
+    # 0 <= f <= 1 on the integer parts; a Fraction's denominator is positive.
+    if min(nums) < 0 or not all(map(operator.le, nums, dens)):
+        i = next(i for i, (num, den) in enumerate(zip(nums, dens)) if not 0 <= num <= den)
+        raise ValueError(f"{name}[{i}]={items[i]!r} outside [0, 1]")
+    return fracs, nums, dens
 
 
 def _split_pairs(pairs):
@@ -238,7 +244,8 @@ def _split_pairs(pairs):
 
     Returns (p, q, exact).  Exact mode is selected when any entry is a
     ``Fraction``; all entries are then converted (floats exactly, by their
-    binary value).
+    binary value).  The range of float vectors is checked by
+    ``stepup_guarded``.
     """
     if isinstance(pairs, np.ndarray) and pairs.dtype != object:
         arr = np.asarray(pairs, dtype=np.float64)
@@ -246,10 +253,6 @@ def _split_pairs(pairs):
             raise ValueError("pairs must have shape (m, 2)")
         if arr.shape[0] == 0:
             raise ValueError("pairs must be nonempty")
-        lo, hi = arr.min(), arr.max()
-        if not (lo >= 0 and hi <= 1):
-            _check_prob_array("p_real", np.ascontiguousarray(arr[:, 0]))
-            _check_prob_array("p_pooled", np.ascontiguousarray(arr[:, 1]))
         return arr[:, 0], arr[:, 1], False
     rows = list(pairs)
     if not rows:
@@ -264,41 +267,44 @@ def _split_pairs(pairs):
 
 
 # ---------------------------------------------------------------------------
-# Core step-up scans (dtype-agnostic: float64, int64 or Python-int arrays).
+# One guarded-value kernel and one step-up scan (float64, int64 or object).
 # ---------------------------------------------------------------------------
 
 
-def _bh_scan(values: np.ndarray, thresholds: np.ndarray) -> int:
-    """k* = max{k : kth smallest value <= thresholds[k-1]}, 0 if none."""
-    ordered = np.sort(values)
-    passing = np.nonzero(ordered <= thresholds)[0]
-    return int(passing[-1]) + 1 if passing.size else 0
+def _guarded(p: np.ndarray, q: np.ndarray, floor: np.ndarray, out=None) -> np.ndarray:
+    """The guarded value ``min(p, max(q, floor))``; ``out`` may be ``floor``."""
+    return np.minimum(p, np.maximum(q, floor, out=out), out=out)
 
 
-def stepup_rows(values: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """Step-up scan of each row of a (T, m) float64 array at thresholds alpha*k/m.
+def stepup_rows(values: np.ndarray, thresholds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Step-up scan of each (float64, int64 or object) row of a (T, m) array.
 
-    Returns ``k_star`` (int64, 0 where nothing passes) and ``cutoff``, each
-    row's k*-th smallest value (-inf where k* = 0), so that
-    ``values <= cutoff[:, None]`` is the rejection mask.  The comparisons
-    are the plain ``value <= alpha * k / m`` in float64.  A value above the
-    largest threshold can never pass, so the comparison stops at the first
-    column whose smallest entry is above it.
+    ``thresholds[k-1]`` bounds the k-th smallest value of a row; on float
+    rows it is ``alpha * k / m``, so each comparison is the plain
+    ``value <= alpha * k / m``.  Returns ``k_star`` (0 where nothing
+    passes) and the (T, m) rejection masks.  A value above the largest
+    threshold can never pass, so the comparison stops at the first column
+    whose smallest entry is above it.
     """
     ordered = np.sort(values, axis=1)
-    rows, m = ordered.shape
+    rows = ordered.shape[0]
     # Rows ascend, so their column-wise minimum ascends too.
     lowest = ordered[0] if rows == 1 else ordered.min(axis=0)
-    limit = int(lowest.searchsorted(alpha * m / m, side="right"))
-    if limit == 0:
-        return np.zeros(rows, dtype=np.intp), np.full(rows, -np.inf)
-    # Ranks limit, ..., 1 and then a rank-0 sentinel that always passes, so
-    # that argmax finds each row's largest passing rank.
-    ranked = np.empty((rows, limit + 1))
-    ranked[:, :limit] = ordered[:, :limit][:, ::-1]
-    ranked[:, limit] = -np.inf
-    first = (ranked <= alpha * np.arange(float(limit), -1.0, -1.0) / m).argmax(axis=1)
-    return limit - first, ranked[np.arange(rows), first]
+    limit = int(lowest.searchsorted(thresholds[-1], side="right"))
+    # Column k tells whether rank k passes; rank 0 always does, so that
+    # each row's largest passing rank is the last True.
+    passing = np.ones((rows, limit + 1), dtype=bool)
+    np.less_equal(ordered[:, :limit], thresholds[:limit], out=passing[:, 1:])
+    k_star = limit - passing[:, ::-1].argmax(axis=1)
+    return k_star, _at_most_kth(values, ordered, k_star)
+
+
+def _at_most_kth(values: np.ndarray, ordered: np.ndarray, k_star: np.ndarray) -> np.ndarray:
+    """Masks of the entries at most their row's k*-th smallest; none where k* = 0."""
+    cutoff = ordered[np.arange(k_star.shape[0]), k_star - 1]
+    rejected = values <= cutoff[:, np.newaxis]
+    rejected[k_star == 0] = False
+    return rejected
 
 
 def _naive_scan(p: np.ndarray, q: np.ndarray, units, thresholds: np.ndarray) -> int:
@@ -324,14 +330,50 @@ def _naive_scan(p: np.ndarray, q: np.ndarray, units, thresholds: np.ndarray) -> 
         # A (K, 1) shift broadcasts along each row; a per-hypothesis one
         # is written into the buffer first.
         shift = np.multiply(ks, units, out=block) if per_hypothesis else ks * units
-        np.subtract(p, shift, out=block)
-        np.maximum(block, q, out=block)
-        np.minimum(block, p, out=block)
+        _guarded(p, q, np.subtract(p, shift, out=block), out=block)
         np.less_equal(block, thresholds[low:top, np.newaxis], out=hit)
         found = np.nonzero(np.count_nonzero(hit, axis=1) >= ranks)[0]
         if found.size:
             return low + int(found[-1]) + 1
     return 0
+
+
+def _select(p: np.ndarray, q: np.ndarray, floor, units, thresholds: np.ndarray,
+            mode: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """k*, rejection masks and compared values on each row of (T, m) p and q.
+
+    Fast mode scans ``v = min(p, max(q, floor))``, written over ``floor``;
+    naive mode runs the rank-adaptive rule with guard ``units`` and returns
+    the values at k*.
+    """
+    if mode == "fast":
+        v = _guarded(p, q, floor, out=floor)
+        return (*stepup_rows(v, thresholds), v)
+    rows = zip(np.ascontiguousarray(p), np.ascontiguousarray(q))
+    k_star = np.array([_naive_scan(a, b, units, thresholds) for a, b in rows])
+    v = _guarded(p, q, p - k_star[:, np.newaxis] * units)
+    return k_star, _at_most_kth(v, np.sort(v, axis=1), k_star), v
+
+
+def stepup_guarded(p: np.ndarray, q: np.ndarray,
+                   config: StepUpConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Guarded step-up at ``config`` on each row of (T, m) float64 p and q.
+
+    Checks that p and q lie in [0, 1] (named ``pvalues`` when ``bh`` passes
+    one array as both).  Returns ``k_star`` per row, the (T, m) rejection
+    masks and the values compared with the thresholds ``alpha * k / m``.
+    """
+    if q is p:
+        _check_prob_array("pvalues", p)
+    else:
+        _check_prob_array("p_real", p)
+        _check_prob_array("p_pooled", q)
+    m = p.shape[1]
+    alpha, eps = float(config.alpha), float(config.epsilon)
+    w = 1.0 if config.weights is None else np.asarray(config.weights, dtype=np.float64)
+    floor = alpha / (alpha + w * eps) * p if config.mode == "fast" else None
+    thresholds = alpha * np.arange(1.0, m + 1.0) / m
+    return _select(p, q, floor, w * eps / m, thresholds, config.mode)
 
 
 def bh(pvalues, alpha: Scalar) -> RejectionResult:
@@ -340,27 +382,9 @@ def bh(pvalues, alpha: Scalar) -> RejectionResult:
     Selects k* = max{k : m * p_(k) / k <= alpha} and rejects every
     hypothesis whose p-value is at most the k*-th smallest.
     """
-    _check_level("alpha", alpha)
+    config = StepUpConfig(alpha=alpha)
     values, exact = _as_prob_vector(pvalues, "pvalues")
-    if exact:
-        return _stepup_exact(values, values, None, alpha, 0, "fast")
-    return _scan_float(values, float(alpha))
-
-
-def _float_result(modified: np.ndarray, k_star: int, cutoff: float,
-                  alpha: float) -> RejectionResult:
-    """Result of a float run whose k*-th smallest modified value is ``cutoff``."""
-    return RejectionResult(
-        k_star=k_star,
-        rejected=np.nonzero(modified <= cutoff)[0] if k_star else np.empty(0, dtype=np.int64),
-        modified_pvalues=modified,
-        threshold_used=alpha * k_star / modified.shape[0],
-    )
-
-
-def _scan_float(modified: np.ndarray, alpha: float) -> RejectionResult:
-    k_star, cutoff = stepup_rows(modified[np.newaxis], alpha)
-    return _float_result(modified, int(k_star[0]), cutoff[0], alpha)
+    return _run(values, values, exact, config)
 
 
 def synth_bh(pairs, config: StepUpConfig) -> RejectionResult:
@@ -373,8 +397,7 @@ def synth_bh(pairs, config: StepUpConfig) -> RejectionResult:
     """
     if config.weights is not None:
         raise ValueError("synth_bh takes no weights; use weighted_synth_bh")
-    p, q, exact = _split_pairs(pairs)
-    return _stepup_impl(p, q, None, config, exact)
+    return _run(*_split_pairs(pairs), config)
 
 
 def weighted_synth_bh(pairs, config: StepUpConfig) -> RejectionResult:
@@ -383,77 +406,63 @@ def weighted_synth_bh(pairs, config: StepUpConfig) -> RejectionResult:
     The fast path uses per-hypothesis ratios ``c_j = alpha/(alpha + w_j *
     epsilon)``.  With all weights equal to one the output matches
     :func:`synth_bh` exactly; with ``epsilon == 0`` it matches :func:`bh`
-    on the real p-values.
+    on the real p-values.  In an exact run the weights must sum to m
+    exactly, floats by their binary value, or be rescaled to do so with
+    ``normalize_weights``.
     """
     if config.weights is None:
         raise ValueError("weighted_synth_bh requires config.weights")
     p, q, exact = _split_pairs(pairs)
-    weights = config.weights
-    if len(weights) != len(p):
-        raise ValueError(
-            f"weights length {len(weights)} != number of pairs {len(p)}"
-        )
-    return _stepup_impl(p, q, weights, config, exact)
+    m = len(p[0] if exact else p)
+    if len(config.weights) != m:
+        raise ValueError(f"weights length {len(config.weights)} != number of pairs {m}")
+    return _run(p, q, exact, config)
 
 
-def _stepup_impl(p, q, weights, config: StepUpConfig, exact: bool) -> RejectionResult:
+def _run(p, q, exact: bool, config: StepUpConfig) -> RejectionResult:
+    """The run of one p and q from ``_as_prob_vector`` or ``_split_pairs``."""
     if exact:
-        return _stepup_exact(p, q, weights, config.alpha, config.epsilon, config.mode)
-    return _stepup_float(p, q, weights, config)
+        return _stepup_exact(p, q, config)
+    rows = p[np.newaxis]
+    k_star, rejected, modified = stepup_guarded(rows, rows if q is p else q[np.newaxis], config)
+    k_star = int(k_star[0])
+    return RejectionResult(
+        k_star=k_star,
+        rejected=np.nonzero(rejected[0])[0],
+        modified_pvalues=modified[0],
+        threshold_used=float(config.alpha) * k_star / p.shape[0],
+    )
 
 
-def _stepup_float(p: np.ndarray, q: np.ndarray, weights,
-                  config: StepUpConfig) -> RejectionResult:
-    m = p.shape[0]
-    alpha = float(config.alpha)
-    eps = float(config.epsilon)
-    if weights is None:
-        units = eps / m                      # scalar guard increment
-        ratios = alpha / (alpha + eps)
-    else:
-        w = np.asarray(weights, dtype=np.float64)
-        units = w * eps / m
-        ratios = alpha / (alpha + w * eps)
-    if config.mode == "fast":
-        v = np.minimum(p, np.maximum(q, ratios * p))
-        return _scan_float(v, alpha)
-    p = np.ascontiguousarray(p)
-    q = np.ascontiguousarray(q)
-    thresholds = alpha * np.arange(1, m + 1) / m
-    k_star = _naive_scan(p, q, units, thresholds)
-    modified = np.minimum(p, np.maximum(q, p - k_star * units))
-    cutoff = np.partition(modified, k_star - 1)[k_star - 1] if k_star else -np.inf
-    return _float_result(modified, k_star, cutoff, alpha)
-
-
-def _stepup_exact(p: list[Fraction], q: list[Fraction], weights, alpha: Scalar,
-                  epsilon: Scalar, mode: str) -> RejectionResult:
+def _stepup_exact(p: tuple, q: tuple, config: StepUpConfig) -> RejectionResult:
     """Exact run of either mode on integers over one common denominator.
 
-    p, q, the threshold unit ``alpha/m`` and the guard units ``w_j*eps/m``
-    are rescaled to integers; fast mode further multiplies through by the
-    denominators of the ratios ``c_j`` so that ``c_j * p_j`` is an integer
-    too.  The arrays are int64 when every magnitude the scans reach stays
-    below ``_INT64_SAFE``, else Python ints (object dtype).
+    ``p`` and ``q`` are ``_fraction_vector`` triples.  p, q, the threshold
+    unit ``alpha/m`` and the guard units ``w_j*eps/m`` are rescaled to
+    integers; fast mode further multiplies through by the denominators of
+    the ratios ``c_j`` so that ``c_j * p_j`` is an integer too.  The arrays
+    are int64 when every magnitude the scans reach stays below
+    ``_INT64_SAFE``, else Python ints (object dtype).
     """
+    (p, p_nums, p_dens), (q, q_nums, q_dens) = p, q
     m = len(p)
-    alpha, eps = _fraction(alpha), _fraction(epsilon)
+    alpha, eps = _fraction(config.alpha), _fraction(config.epsilon)
     thr_unit = alpha / m
     # The weights over their common denominator: w_j = a_j / d_w.  Unit
     # weights give every hypothesis the same guard unit and ratio, so each
     # is computed once and broadcast.
-    if weights is None:
+    if config.weights is None:
         d_w, nums = 1, [1]
     else:
-        d_w, nums = _over_common_denominator([_fraction(x) for x in weights])
+        d_w, nums = _exact_weights([_fraction(x) for x in config.weights],
+                                   config.normalize_weights)
     # Guard units w_j*eps/m = a_j*eps_n / (d_w*eps_d*m), in lowest terms.
     unit_den = d_w * eps.denominator * m
     units = [_lowest_terms(a * eps.numerator, unit_den) for a in nums]
-    denom = math.lcm(*{f.denominator for f in p}, *{f.denominator for f in q},
-                     thr_unit.denominator, *{d for _, d in units})
+    denom = math.lcm(*set(p_dens), *set(q_dens), thr_unit.denominator, *{d for _, d in units})
     # Values and thresholds (at most alpha) lie in [0, scale]; naive guard
     # values reach down to p - m * unit.
-    if mode == "fast":
+    if config.mode == "fast":
         # c_j = alpha/(alpha + w_j*eps) = b / (b + a_j*eps_n*alpha_d),
         # with b = alpha_n*d_w*eps_d.
         b = alpha.numerator * d_w * eps.denominator
@@ -461,40 +470,34 @@ def _stepup_exact(p: list[Fraction], q: list[Fraction], weights, alpha: Scalar,
         ratios = [_lowest_terms(b, b + a * step) for a in nums]
         boost = math.lcm(*{d for _, d in ratios})
         bound = scale = denom * boost
+        # c_j on the boosted scale, so that base_p * c_j = c_j * p_j * scale.
+        factors = [n * (boost // d) for n, d in ratios]
     else:
         boost, scale = 1, denom
-        guard = [n * (denom // d) for n, d in units]
-        bound = max(scale, m * max(guard))
+        # The guard units on the scale.
+        factors = [n * (denom // d) for n, d in units]
+        bound = max(scale, m * max(factors))
     dtype = np.int64 if bound < _INT64_SAFE else object
 
-    def ints(fracs, unit):
-        return np.array([f.numerator * (unit // f.denominator) for f in fracs], dtype=dtype)
+    def ints(nums, dens, unit):
+        return np.array([[n * (unit // d) for n, d in zip(nums, dens)]], dtype=dtype)
 
-    base_p = ints(p, denom)
-    big_p, big_q = base_p * boost, ints(q, scale)
+    base_p = ints(p_nums, p_dens, denom)
+    big_p, big_q = base_p * boost, ints(q_nums, q_dens, scale)
     thresholds = np.arange(1, m + 1, dtype=dtype) * (
         thr_unit.numerator * (scale // thr_unit.denominator)
     )
-    if mode == "fast":
-        c = np.array([n * (boost // d) for n, d in ratios], dtype=dtype)
-        modified = np.minimum(big_p, np.maximum(big_q, base_p * c))
-        k_star = _bh_scan(modified, thresholds)
-    else:
-        guard = np.array(guard, dtype=dtype)
-        k_star = _naive_scan(big_p, big_q, guard, thresholds)
-        modified = np.minimum(big_p, np.maximum(big_q, big_p - k_star * guard))
-    if k_star:
-        cutoff = np.partition(modified, k_star - 1)[k_star - 1]
-        rejected = np.nonzero(modified <= cutoff)[0]
-    else:
-        rejected = np.empty(0, dtype=np.int64)
+    factors = np.array(factors, dtype=dtype)
+    floor = base_p * factors if config.mode == "fast" else None
+    k_star, rejected, modified = _select(big_p, big_q, floor, factors, thresholds, config.mode)
+    k_star, modified, big_p, big_q = int(k_star[0]), modified[0], big_p[0], big_q[0]
     # A value equal to its input reuses that input's Fraction object.
     values = list(p)
     for j in np.nonzero(modified != big_p)[0].tolist():
         values[j] = q[j] if modified[j] == big_q[j] else Fraction(int(modified[j]), scale)
     return RejectionResult(
         k_star=k_star,
-        rejected=rejected,
+        rejected=np.nonzero(rejected[0])[0],
         modified_pvalues=values,
         threshold_used=alpha * k_star / m if k_star else Fraction(0),
     )

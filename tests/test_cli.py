@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import synthbh.conformal
-from synthbh import bh, cli, conformal_pvalues, tables
+from synthbh import JitterSpec, ScoreBundle, StepUpConfig, bh, cli, conformal_pvalues, \
+    detect_outliers, simulate, synth_bh, tables, trim_by_score
 from synthbh.cli import CliError, main, read_result_table
 
 PAIR_FILE = "id,p_real,p_synth\nh1,0.08,0.01\nh2,0.9,0.9\n"
@@ -235,6 +236,47 @@ class TestCmdOutliers:
         # the smallest pooled value.
         assert float(rows[0][3]) == pytest.approx(1 / 49)
 
+    def test_pvalue_columns_match_library_and_simulation(self, tmp_path, monkeypatch):
+        # The scores of one outlier-experiment trial, before trimming, go
+        # through the CLI, detect_outliers and the experiment alike.
+        seen = {}
+
+        def trim(scores, rho, _trim=simulate.trim_by_score):
+            seen["synth"] = scores
+            return _trim(scores, rho)
+
+        def stage(bundle, _stage=simulate.outlier_pvalues):
+            seen["bundle"] = bundle
+            return _stage(bundle)
+
+        monkeypatch.setattr(simulate, "trim_by_score", trim)
+        monkeypatch.setattr(simulate, "outlier_pvalues", stage)
+        p_real, p_merged, _ = simulate._outlier_trial(
+            3, n=60, n_synth=120, m=40, outlier_frac=0.1, contamination_frac=0.1,
+            rho=0.05, seed=21, mu_out=3.0,
+        )
+        scores = [seen["bundle"].real_scores, seen["synth"], seen["bundle"].test_scores]
+
+        def columns(scores, *flags):
+            path = self.role_file(tmp_path, *scores)
+            out = tmp_path / "r.csv"
+            assert run(["outliers", "--scores", path, "--rho", "0.05", *flags,
+                        "--output", out]) == 0
+            _, rows, _ = read_result_table(str(out))
+            return np.array([[float(r[2]), float(r[3])] for r in rows])
+
+        assert columns(scores).tobytes() == np.column_stack((p_real, p_merged)).tobytes()
+        # Jitter only matters where scores tie: the same scores to one decimal.
+        tied = [np.round(s, 1) for s in scores]
+        pairs = []
+        monkeypatch.setattr(synthbh.conformal, "synth_bh",
+                            lambda p, config: pairs.append(p) or synth_bh(p, config))
+        bundle = ScoreBundle(tied[0], trim_by_score(tied[1], 0.05), tied[2])
+        detect_outliers(bundle, StepUpConfig(alpha=0.1, epsilon=0.1), JitterSpec(seed=5))
+        jittered = columns(tied, "--jitter", "--seed", "5")
+        assert len(pairs) == 1 and jittered.tobytes() == pairs[0].tobytes()
+        assert not np.array_equal(jittered, columns(tied))
+
     def test_requires_some_input(self, capsys):
         assert run(["outliers", "--alpha", "0.2"]) == 2
         assert "score input required" in capsys.readouterr().err
@@ -251,21 +293,22 @@ class TestCmdOutliers:
         assert "row 2" in err and "role" in err
 
     def test_conformal_pvalues_computed_once(self, tmp_path, monkeypatch):
+        # One p-value stage per run, which counts over each score set once.
         calls = collections.Counter()
-        for module in (cli, synthbh.conformal):
-            for name in ("conformal_pvalues", "merged_conformal_pvalues"):
-                original = getattr(module, name)
+        for module, name in ((cli, "outlier_pvalues"), (synthbh.conformal, "outlier_pvalues"),
+                             (synthbh.conformal, "_count_at_least")):
+            original = getattr(module, name)
 
-                def counted(*args, _name=name, _original=original):
-                    calls[_name] += 1
-                    return _original(*args)
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
 
-                monkeypatch.setattr(module, name, counted)
+            monkeypatch.setattr(module, name, counted)
         path = self.role_file(tmp_path, real=np.arange(1.0, 21.0),
                               synth=np.linspace(-3.0, 0.5, 30), test=[25.0, 0.0])
         assert run(["outliers", "--scores", path, "--alpha", "0.2", "--epsilon", "0.1",
                     "--output", tmp_path / "r.csv"]) == 0
-        assert calls == {"conformal_pvalues": 1, "merged_conformal_pvalues": 1}
+        assert calls == {"outlier_pvalues": 1, "_count_at_least": 2}
 
 
 class TestCmdSimulate:

@@ -239,18 +239,19 @@ class TestOutlierExperiment:
             run_outlier_experiment(contamination_frac=-0.2, trials=1)
 
     def test_pvalues_computed_once_per_trial(self, monkeypatch):
+        # One p-value stage per trial, which counts over each score set once.
         calls = []
-        for module in (simulate, conformal):
-            for name in ("conformal_pvalues", "merged_conformal_pvalues"):
-                original = getattr(module, name)
+        for module, name in ((simulate, "outlier_pvalues"), (conformal, "outlier_pvalues"),
+                             (conformal, "_count_at_least")):
+            original = getattr(module, name)
 
-                def counted(*args, _name=name, _original=original):
-                    calls.append(_name)
-                    return _original(*args)
+            def counted(*args, _name=name, _original=original):
+                calls.append(_name)
+                return _original(*args)
 
-                monkeypatch.setattr(module, name, counted)
+            monkeypatch.setattr(module, name, counted)
         run_outlier_experiment(n=30, n_synth=60, m=20, trials=3, seed=12)
-        assert sorted(calls) == ["conformal_pvalues"] * 3 + ["merged_conformal_pvalues"] * 3
+        assert sorted(calls) == ["_count_at_least"] * 6 + ["outlier_pvalues"] * 3
 
 
 def oracle_metrics(draws, alpha, epsilon):

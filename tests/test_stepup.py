@@ -197,6 +197,14 @@ class TestBh:
         with pytest.raises(ValueError, match=r"\[1\]"):
             bh([0.1, 1.2], 0.1)
 
+    @pytest.mark.parametrize("bad", [Fraction(3, 2), Fraction(-1, 3), -0.5, 1.5])
+    def test_exact_out_of_range_pvalue_names_index(self, bad):
+        with pytest.raises(ValueError, match=r"pvalues\[2\]=.* outside \[0, 1\]"):
+            bh([Fraction(1, 2), Fraction(1), bad], Fraction(1, 10))
+        pairs = [(Fraction(1, 2), Fraction(1, 3)), (Fraction(1, 5), bad)]
+        with pytest.raises(ValueError, match=r"p_pooled\[1\]=.* outside \[0, 1\]"):
+            synth_bh(pairs, StepUpConfig(alpha=Fraction(1, 10), epsilon=Fraction(1, 10)))
+
 
 class TestSynthBh:
     CONFIG = dict(alpha=0.1, epsilon=0.1)
@@ -425,6 +433,36 @@ class TestWeightedSynthBh:
         with pytest.raises(ValueError, match="length"):
             weighted_synth_bh([(0.1, 0.1)], config)
 
+    # q = 0 makes the guard bind everywhere, so every value depends on its
+    # weight exactly.
+    GUARD_BOUND = [(Fraction(1, 20), Fraction(0))] * 3
+
+    @pytest.mark.parametrize("mode", ["naive", "fast"])
+    def test_float_weights_must_sum_exactly_in_exact_run(self, mode):
+        # 0.1 + 0.2 + 2.7 passes the float check, but the binary values of
+        # the three floats sum to 108086391056891911/36028797018963968.
+        config = StepUpConfig(alpha=Fraction(1, 10), epsilon=Fraction(1, 10),
+                              weights=[0.1, 0.2, 2.7], mode=mode)
+        with pytest.raises(ValueError, match="sum to m=3 exactly in an exact run"):
+            weighted_synth_bh(self.GUARD_BOUND, config)
+        assert weighted_synth_bh([(0.05, 0.0)] * 3, config).k_star == 3
+
+    @pytest.mark.parametrize("mode", ["naive", "fast"])
+    @pytest.mark.parametrize("raw", [[0.1, 0.2, 2.7], [0.1, 0.7, 0.5]])
+    def test_float_weights_normalised_exactly_in_exact_run(self, raw, mode):
+        alpha = eps = Fraction(1, 10)
+        config = StepUpConfig(alpha=alpha, epsilon=eps, weights=raw, mode=mode,
+                              normalize_weights=True)
+        binary = [Fraction(w) for w in config.weights]
+        assert sum(binary) != 3
+        weights = [w * 3 / sum(binary) for w in binary]
+        pairs = self.GUARD_BOUND
+        static = reference_static(pairs, alpha, eps, weights) if mode == "fast" else None
+        assert_exact_result(
+            weighted_synth_bh(pairs, config),
+            reference_guarded(pairs, alpha, eps, weights), alpha, static,
+        )
+
 
 class TestInt64Limit:
     """Exact runs just below and just above the int64 limit of the engine.
@@ -463,7 +501,7 @@ class TestInt64Limit:
             (Fraction(1, 2) + Fraction(1, d), Fraction(1, 2) - Fraction(1, d)),
         ]
         seen = []
-        for name in ("_bh_scan", "_naive_scan"):
+        for name in ("stepup_rows", "_naive_scan"):
             def spy(values, *rest, _scan=getattr(stepup, name)):
                 seen.append(values.dtype)
                 return _scan(values, *rest)
@@ -590,6 +628,13 @@ def boundary_rows(rng, rows, m, alpha):
     return values
 
 
+def loop_bh_scan(values, thresholds):
+    """k* of one row by the integer engine's former 1-D scan, ``_bh_scan``."""
+    ordered = np.sort(values)
+    passing = np.nonzero(ordered <= thresholds)[0]
+    return int(passing[-1]) + 1 if passing.size else 0
+
+
 class TestStepupRows:
     def test_rows_match_separate_bh_calls(self):
         rng = np.random.default_rng(30)
@@ -597,18 +642,75 @@ class TestStepupRows:
             rows, m = int(rng.integers(1, 12)), int(rng.integers(1, 60))
             alpha = float(rng.choice([0.05, 0.1, 0.3, 0.7, 0.999]))
             values = boundary_rows(rng, rows, m, alpha)
-            k_star, cutoff = stepup_rows(values, alpha)
-            for row, k, c in zip(values, k_star.tolist(), cutoff.tolist()):
+            k_star, rejected = stepup_rows(values, alpha * np.arange(1, m + 1) / m)
+            for row, k, mask in zip(values, k_star.tolist(), rejected):
                 single = bh(row, alpha)
                 assert k == single.k_star == float_scan(row, alpha)
-                assert np.array_equal(np.nonzero(row <= c)[0], single.rejected)
-                assert c == (np.sort(row)[k - 1] if k else -np.inf)
+                assert np.array_equal(np.nonzero(mask)[0], single.rejected)
+                assert np.array_equal(mask, row <= np.sort(row)[k - 1] if k else row < 0)
 
     def test_all_rejected_and_none_rejected_rows(self):
         values = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [0.2, 0.2, 0.2]])
-        k_star, cutoff = stepup_rows(values, 0.1)
+        k_star, rejected = stepup_rows(values, 0.1 * np.arange(1, 4) / 3)
         assert k_star.tolist() == [3, 0, 0]
-        assert cutoff.tolist() == [0.0, -np.inf, -np.inf]
+        assert rejected.tolist() == [[True] * 3, [False] * 3, [False] * 3]
+
+    @pytest.mark.parametrize("dtype", [np.int64, object], ids=["int64", "object"])
+    def test_integer_rows_match_former_scan(self, dtype):
+        # Values on a threshold and 1 on either side of it, with one
+        # all-pass and one none-pass row per draw; object rows go past
+        # int64.
+        rng = np.random.default_rng(31)
+        hits = 0
+        for _ in range(150):
+            rows, m = int(rng.integers(3, 10)), int(rng.integers(1, 40))
+            unit = int(rng.integers(1, 1000)) * (2**64 if dtype is object else 1)
+            thresholds = np.arange(1, m + 1, dtype=dtype) * unit
+            top = np.array([0, thresholds[-1] + 1], dtype=dtype)
+            pool = np.concatenate([thresholds, thresholds - 1, thresholds + 1, top])
+            values = rng.choice(pool, size=(rows, m))
+            values[0], values[1] = top[0], top[1]
+            assert values.dtype == np.dtype(dtype)
+            k_star, rejected = stepup_rows(values, thresholds)
+            assert k_star[0] == m and k_star[1] == 0
+            for row, k, mask in zip(values, k_star.tolist(), rejected):
+                assert k == loop_bh_scan(row, thresholds)
+                cutoff = np.sort(row)[k - 1] if k else -1
+                assert mask.tolist() == [v <= cutoff for v in row.tolist()]
+            hits += int(np.count_nonzero(k_star[2:]))
+        assert hits
+
+
+class TestStepupGuarded:
+    """The stacked float entry against one synth_bh call per row."""
+
+    @pytest.mark.parametrize("mode", ["fast", "naive"])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_rows_match_separate_calls(self, mode, weighted):
+        rng = np.random.default_rng(32)
+        for _ in range(40):
+            rows, m = int(rng.integers(1, 6)), int(rng.integers(1, 40))
+            p = boundary_rows(rng, rows, m, 0.2)
+            q = boundary_rows(rng, rows, m, 0.2)
+            weights = rng.integers(1, 4, m) * 1.0 if weighted else None
+            config = StepUpConfig(alpha=0.2, epsilon=0.1, weights=weights, mode=mode,
+                                  normalize_weights=True)
+            k_star, rejected, values = stepup.stepup_guarded(p, q, config)
+            for j in range(rows):
+                run = weighted_synth_bh if weighted else synth_bh
+                single = run(np.column_stack((p[j], q[j])), config)
+                assert k_star[j] == single.k_star
+                assert np.array_equal(np.nonzero(rejected[j])[0], single.rejected)
+                assert values[j].tobytes() == single.modified_pvalues.tobytes()
+
+    def test_range_checks_name_the_array(self):
+        good, bad = np.full((2, 3), 0.5), np.full((2, 3), 0.5)
+        bad[1, 2] = 1.5
+        config = StepUpConfig(alpha=0.1, epsilon=0.1)
+        for p, q, name in ((bad, good, r"p_real\[5\]"), (good, bad, r"p_pooled\[5\]"),
+                           (bad, bad, r"pvalues\[5\]")):
+            with pytest.raises(ValueError, match=name):
+                stepup.stepup_guarded(p, q, config)
 
 
 def loop_naive_scan(p, q, units, thresholds):
