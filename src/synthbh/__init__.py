@@ -24,6 +24,7 @@ from .simulate import (
     ExperimentResult,
     MethodSummary,
     MIRROR_ALT,
+    OutlierConfig,
     SimConfig,
     TrialMetrics,
     fdp_and_power,
@@ -58,6 +59,7 @@ __all__ = [
     "ExperimentResult",
     "MethodSummary",
     "MIRROR_ALT",
+    "OutlierConfig",
     "SimConfig",
     "TrialMetrics",
     "fdp_and_power",

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
+import os
 import secrets
 import sys
 import time
@@ -29,7 +30,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .conformal import JitterSpec, ScoreBundle, outlier_pvalues, trim_by_score
-from .simulate import SimConfig, check_outlier_experiment, run_bernoulli_experiment, \
+from .simulate import OutlierConfig, SimConfig, run_bernoulli_experiment, \
     run_outlier_experiment
 from .stepup import StepUpConfig, synth_bh, weighted_synth_bh
 # EXIT_IO, EXIT_VALIDATION and read_result_table stay importable from here.
@@ -38,16 +39,9 @@ from .tables import EXIT_IO, EXIT_OK, EXIT_VALIDATION, ROWS, CliError, read_pval
 
 NAIVE_BENCH_CAP = 20_000
 
-_BERNOULLI_SWEEP_FIELDS = {
-    "n_real": int, "n_synth": int, "m": int, "trials": int,
-    "frac_alt": float, "q_alt": float, "q_synth_null": float,
-    "q_synth_alt": float, "alpha": float, "epsilon": float,
-}
-_OUTLIER_SWEEP_FIELDS = {
-    "n": int, "n_synth": int, "m": int, "trials": int,
-    "outlier_frac": float, "contamination_frac": float, "rho": float,
-    "alpha": float, "epsilon": float, "mu_out": float,
-}
+# The config class of each ``simulate --experiment``.  Its fields are the
+# experiment's flags, in summary order; every field but ``seed`` can be swept.
+_EXPERIMENTS = {"bernoulli": SimConfig, "outlier": OutlierConfig}
 
 
 def _resolve_seed(seed: int | None) -> int:
@@ -190,6 +184,8 @@ def _parse_sweep(text: str, allowed: Mapping[str, type]):
             start, stop, step = (float(p) for p in parts)
         except ValueError:
             raise CliError(f"non-numeric sweep range {rest!r}") from None
+        if not all(map(math.isfinite, (start, stop, step))):
+            raise CliError(f"sweep range must be finite, got {rest!r}")
         if step <= 0 or stop < start:
             raise CliError(f"sweep range must have step > 0 and stop >= start, got {rest!r}")
         count = int(math.floor((stop - start) / step + 1e-9)) + 1
@@ -227,44 +223,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 f"got {q_synth_null!r}"
             ) from None
     seed = _resolve_seed(args.seed)
-    if experiment == "bernoulli":
-        allowed = _BERNOULLI_SWEEP_FIELDS
-        base_kwargs = {
-            "n_real": args.n_real, "n_synth": args.n_synth, "m": args.m,
-            "frac_alt": args.frac_alt, "q_alt": args.q_alt,
-            "q_synth_null": q_synth_null, "q_synth_alt": args.q_synth_alt,
-            "alpha": args.alpha, "epsilon": args.epsilon,
-            "trials": args.trials, "seed": seed,
-        }
-
-        def check(kwargs):
-            SimConfig(**kwargs)
-
-        def run(kwargs):
-            return run_bernoulli_experiment(SimConfig(**kwargs))
-
-    elif experiment == "outlier":
-        allowed = _OUTLIER_SWEEP_FIELDS
-        base_kwargs = {
-            "n": args.n, "n_synth": args.n_synth, "m": args.m,
-            "outlier_frac": args.outlier_frac,
-            "contamination_frac": args.contamination_frac,
-            "rho": args.rho, "mu_out": args.mu_out,
-            "alpha": args.alpha, "epsilon": args.epsilon,
-            "trials": args.trials, "seed": seed,
-        }
-
-        def check(kwargs):
-            check_outlier_experiment(**kwargs)
-
-        def run(kwargs):
-            return run_outlier_experiment(**kwargs)
-
-    else:
-        raise CliError(f"unknown experiment {experiment!r}")
+    config_class = _EXPERIMENTS[experiment]
+    fields = dataclasses.fields(config_class)
+    resolved = {"seed": seed, "q_synth_null": q_synth_null}
+    base_kwargs = {f.name: resolved.get(f.name, getattr(args, f.name)) for f in fields}
 
     if args.sweep is not None:
-        param, values = _parse_sweep(args.sweep, allowed)
+        sweepable = {f.name: type(f.default) for f in fields if f.name != "seed"}
+        param, values = _parse_sweep(args.sweep, sweepable)
         sweep_info = {"param": param, "values": values}
         runs = [(value, {**base_kwargs, param: value}) for value in values]
     else:
@@ -276,15 +242,19 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         return CliError(prefix + str(exc))
 
     # Every point is validated before any of them runs.
+    configs = []
     for value, kwargs in runs:
         try:
-            check(kwargs)
+            configs.append((value, config_class(**kwargs)))
         except ValueError as exc:
             raise failure(value, exc) from exc
+    # Looked up at call time, so that the run functions can be replaced.
+    run = {SimConfig: run_bernoulli_experiment,
+           OutlierConfig: run_outlier_experiment}[config_class]
     points = []
-    for value, kwargs in runs:
+    for value, config in configs:
         try:
-            points.append((value, run(kwargs)))
+            points.append((value, run(config)))
         except ValueError as exc:
             raise failure(value, exc) from exc
 
@@ -416,8 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_out.add_argument("--format", choices=["csv", "json"], default="csv")
 
     p_sim = sub.add_parser("simulate", help="run a seeded Monte Carlo experiment")
-    p_sim.add_argument("--experiment", choices=["bernoulli", "outlier"],
-                       default="bernoulli")
+    p_sim.add_argument("--experiment", choices=list(_EXPERIMENTS), default="bernoulli")
     _add_level_flags(p_sim, default_epsilon=0.1)
     p_sim.add_argument("--trials", type=int, default=100)
     p_sim.add_argument("--seed", type=int,
@@ -464,10 +433,18 @@ _DISPATCH = {
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _DISPATCH[args.command](args)
+        code = _DISPATCH[args.command](args)
+        # Flushed here, so that a closed stdout fails where it is handled.
+        sys.stdout.flush()
+        return code
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except BrokenPipeError as exc:
+        # Unflushed output would fail again at exit; devnull takes it.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: stdout: {exc.strerror}", file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

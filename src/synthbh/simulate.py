@@ -1,18 +1,25 @@
 """Monte Carlo experiments for the guarded step-up procedures.
 
-Two seeded experiments are provided.  ``run_bernoulli_experiment`` tests
-m coins against fairness with a randomized exact binomial test, computing
-one p-value from the real sample alone and one from the real sample
-pooled with an auxiliary synthetic sample; it then scores four methods
-per trial:
+Two seeded experiments are provided.  ``run_bernoulli_experiment(SimConfig)``
+tests m coins against fairness with a randomized exact binomial test,
+computing one p-value from the real sample alone and one from the real
+sample pooled with an auxiliary synthetic sample; it then scores four
+methods per trial:
 
 * ``BH-real``     step-up on the real p-values at level alpha
 * ``BH-real+eps`` step-up on the real p-values at level alpha + epsilon
 * ``BH-synth``    step-up on the pooled p-values at level alpha
 * ``SynthBH``     the guarded procedure at (alpha, epsilon)
 
-``run_outlier_experiment`` is the conformal analogue with Gaussian scores,
-a contaminated auxiliary set, and trimming.
+``run_outlier_experiment(OutlierConfig)`` is the conformal analogue with
+Gaussian scores, a contaminated auxiliary set, and trimming.
+
+Both have one shape: a frozen config class that checks its fields when
+built, a trial function ``_<name>_trial(config, trial)`` that draws one
+trial's p-values and null mask, and a run function
+``_score_trials(_run_trials(...), config.alpha, config.epsilon)``.  The
+config's fields are the experiment's parameters, in the order that the
+``simulate`` summary lists them; the CLI sweeps every field but ``seed``.
 
 Reproducibility: every trial draws from ``default_rng([seed, trial])``,
 in trial order, so results depend on the seed alone.  Trials run serially;
@@ -128,6 +135,47 @@ class SimConfig:
     def n_alternatives(self) -> int:
         """Number of non-null hypotheses; they occupy the first indices."""
         return round(self.frac_alt * self.m)
+
+
+@dataclass(frozen=True)
+class OutlierConfig:
+    """Parameters of the Gaussian-score outlier experiment.
+
+    Inlier scores are Normal(0, 1) and outlier scores Normal(mu_out, 1);
+    the default mu_out of 3.0 was calibrated so the reference-only
+    step-up baseline lands near 50% power at the default sizes.  Each
+    trial draws a clean reference set of size n, an auxiliary set of size
+    n_synth with a ``contamination_frac`` share of outlier-like scores, of
+    which the top ``rho`` fraction is trimmed, and m test points with an
+    ``outlier_frac`` share of outliers; levels are alpha = epsilon = 0.1
+    over 100 trials.
+    """
+
+    n: int = 500
+    n_synth: int = 2500
+    m: int = 1000
+    outlier_frac: float = 0.05
+    contamination_frac: float = 0.05
+    rho: float = 0.02
+    mu_out: float = 3.0
+    alpha: float = 0.1
+    epsilon: float = 0.1
+    trials: int = 100
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        _check_count("n", self.n)
+        _check_count("n_synth", self.n_synth, minimum=0)
+        _check_count("m", self.m)
+        _check_count("trials", self.trials)
+        _check_probability("outlier_frac", self.outlier_frac)
+        _check_probability("contamination_frac", self.contamination_frac)
+        if not (0 <= self.rho < 1):
+            raise ValueError(f"rho must be in [0, 1), got {self.rho!r}")
+        _check_levels(self.alpha, self.epsilon)
+        if not math.isfinite(self.mu_out):
+            raise ValueError(f"mu_out must be finite, got {self.mu_out!r}")
+        _check_count("seed", self.seed, minimum=0)
 
 
 @dataclass(frozen=True)
@@ -353,94 +401,31 @@ def run_bernoulli_experiment(config: SimConfig) -> ExperimentResult:
     return _score_trials(blocks, config.alpha, config.epsilon)
 
 
-def _outlier_trial(
-    trial: int,
-    n: int,
-    n_synth: int,
-    m: int,
-    outlier_frac: float,
-    contamination_frac: float,
-    rho: float,
-    seed: int,
-    mu_out: float,
-) -> Draws:
-    rng = np.random.default_rng([seed, trial])
-    m_out = round(outlier_frac * m)
-    n_contam = round(contamination_frac * n_synth)
-    real = rng.normal(0.0, 1.0, n)
+def _outlier_trial(config: OutlierConfig, trial: int) -> Draws:
+    rng = np.random.default_rng([config.seed, trial])
+    m, n_synth = config.m, config.n_synth
+    m_out = round(config.outlier_frac * m)
+    n_contam = round(config.contamination_frac * n_synth)
+    real = rng.normal(0.0, 1.0, config.n)
     synth_clean = rng.normal(0.0, 1.0, n_synth - n_contam)
-    synth_bad = rng.normal(mu_out, 1.0, n_contam)
-    test_out = rng.normal(mu_out, 1.0, m_out)
+    synth_bad = rng.normal(config.mu_out, 1.0, n_contam)
+    test_out = rng.normal(config.mu_out, 1.0, m_out)
     test_in = rng.normal(0.0, 1.0, m - m_out)
-    synth = trim_by_score(np.concatenate([synth_clean, synth_bad]), rho)
+    synth = trim_by_score(np.concatenate([synth_clean, synth_bad]), config.rho)
     bundle = ScoreBundle(real, synth, np.concatenate([test_out, test_in]))
     null_mask = np.ones(m, dtype=bool)
     null_mask[:m_out] = False
     return (*outlier_pvalues(bundle), null_mask)
 
 
-def check_outlier_experiment(
-    *,
-    n: int,
-    n_synth: int,
-    m: int,
-    outlier_frac: float,
-    contamination_frac: float,
-    rho: float,
-    alpha: float,
-    epsilon: float,
-    trials: int,
-    seed: int,
-    mu_out: float,
-) -> None:
-    """Raise ValueError for parameters :func:`run_outlier_experiment` rejects."""
-    _check_count("n", n)
-    _check_count("n_synth", n_synth, minimum=0)
-    _check_count("m", m)
-    _check_count("trials", trials)
-    _check_probability("outlier_frac", outlier_frac)
-    _check_probability("contamination_frac", contamination_frac)
-    if not (0 <= rho < 1):
-        raise ValueError(f"rho must be in [0, 1), got {rho!r}")
-    _check_levels(alpha, epsilon)
-    if not math.isfinite(mu_out):
-        raise ValueError(f"mu_out must be finite, got {mu_out!r}")
-    _check_count("seed", seed, minimum=0)
+def run_outlier_experiment(config: OutlierConfig) -> ExperimentResult:
+    """Run the outlier experiment; per-trial metrics for all four methods.
 
-
-def run_outlier_experiment(
-    n: int = 500,
-    n_synth: int = 2500,
-    m: int = 1000,
-    outlier_frac: float = 0.05,
-    contamination_frac: float = 0.05,
-    rho: float = 0.02,
-    alpha: float = 0.1,
-    epsilon: float = 0.1,
-    trials: int = 100,
-    seed: int = 0,
-    mu_out: float = 3.0,
-) -> ExperimentResult:
-    """Gaussian-score outlier experiment with a contaminated auxiliary set.
-
-    Inlier scores are Normal(0, 1) and outlier scores Normal(mu_out, 1);
-    the default mu_out of 3.0 was calibrated so the reference-only
-    step-up baseline lands near 50% power at the default sizes.  Each
-    trial builds a clean reference set of size n, an auxiliary set of
-    size n_synth with a ``contamination_frac`` share of outlier-like
-    scores, trims its top ``rho`` fraction, and scores the same four
-    methods as the Bernoulli experiment, with conformal p-values in the
-    real role and pooled conformal p-values in the synthetic role.
+    Each trial builds a clean reference set, a contaminated auxiliary set
+    trimmed by ``rho`` and a test set with known outliers, and scores the
+    four methods with conformal p-values in the real role and pooled
+    conformal p-values in the synthetic role.  Identical seeds give
+    identical results.
     """
-    check_outlier_experiment(
-        n=n, n_synth=n_synth, m=m, outlier_frac=outlier_frac,
-        contamination_frac=contamination_frac, rho=rho, alpha=alpha,
-        epsilon=epsilon, trials=trials, seed=seed, mu_out=mu_out,
-    )
-
-    def worker(trial: int) -> Draws:
-        return _outlier_trial(
-            trial, n, n_synth, m, outlier_frac, contamination_frac, rho, seed, mu_out,
-        )
-
-    return _score_trials(_run_trials(worker, trials), alpha, epsilon)
+    blocks = _run_trials(lambda t: _outlier_trial(config, t), config.trials)
+    return _score_trials(blocks, config.alpha, config.epsilon)

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Literal, NamedTuple, Sequence, Union
 
@@ -80,6 +80,10 @@ class StepUpConfig:
     weights: Sequence[Scalar] | np.ndarray | None = None
     mode: Literal["naive", "fast"] = "fast"
     normalize_weights: bool = False
+    # Exact weights as ``_exact_weights`` returns them, checked and
+    # normalised once here; None for float weights, which an exact run
+    # checks by their binary value.
+    _exact_ints: tuple[int, list[int]] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if isinstance(self.alpha, float) and not math.isfinite(self.alpha):
@@ -115,6 +119,7 @@ class StepUpConfig:
             if any(f.numerator < 0 for f in w):
                 raise ValueError("weights must be nonnegative")
             den, nums = _exact_weights(w, self.normalize_weights)
+            object.__setattr__(self, "_exact_ints", (den, nums))
             return [Fraction(a, den) for a in nums] if self.normalize_weights else w
         if not np.all(np.isfinite(w)):
             raise ValueError("weights must be finite")
@@ -454,8 +459,8 @@ def _stepup_exact(p: tuple, q: tuple, config: StepUpConfig) -> RejectionResult:
     if config.weights is None:
         d_w, nums = 1, [1]
     else:
-        d_w, nums = _exact_weights([_fraction(x) for x in config.weights],
-                                   config.normalize_weights)
+        d_w, nums = config._exact_ints or _exact_weights(
+            [Fraction(x) for x in config.weights.tolist()], config.normalize_weights)
     # Guard units w_j*eps/m = a_j*eps_n / (d_w*eps_d*m), in lowest terms.
     unit_den = d_w * eps.denominator * m
     units = [_lowest_terms(a * eps.numerator, unit_den) for a in nums]

@@ -17,6 +17,7 @@ import numpy as np
 
 from synthbh import (
     MIRROR_ALT,
+    OutlierConfig,
     SimConfig,
     StepUpConfig,
     bh,
@@ -220,7 +221,7 @@ def test_criterion_6_conformal_super_uniformity():
 
 def test_criterion_7_outlier_fdr_bound():
     """Contaminated auxiliary scores with trimming: FDR within the budget."""
-    result = run_outlier_experiment(
+    result = run_outlier_experiment(OutlierConfig(
         n=500,
         n_synth=2500,
         m=1000,
@@ -231,7 +232,7 @@ def test_criterion_7_outlier_fdr_bound():
         epsilon=0.1,
         trials=100,
         seed=0,
-    )
+    ))
     guarded = {s.method: s for s in result.summaries()}["SynthBH"]
     bound = 0.95 * 0.2 + 3 * guarded.se_fdp
     ok = guarded.mean_fdp <= bound

@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import collections
 import csv
+import dataclasses
 import json
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -251,10 +255,10 @@ class TestCmdOutliers:
 
         monkeypatch.setattr(simulate, "trim_by_score", trim)
         monkeypatch.setattr(simulate, "outlier_pvalues", stage)
-        p_real, p_merged, _ = simulate._outlier_trial(
-            3, n=60, n_synth=120, m=40, outlier_frac=0.1, contamination_frac=0.1,
+        p_real, p_merged, _ = simulate._outlier_trial(simulate.OutlierConfig(
+            n=60, n_synth=120, m=40, outlier_frac=0.1, contamination_frac=0.1,
             rho=0.05, seed=21, mu_out=3.0,
-        )
+        ), 3)
         scores = [seen["bundle"].real_scores, seen["synth"], seen["bundle"].test_scores]
 
         def columns(scores, *flags):
@@ -372,10 +376,59 @@ class TestCmdSimulate:
         assert run(self.ARGS + ["--sweep", "epsilon=0.3:0.1:0.1"]) == 2
         assert "sweep range" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("sweep", ["n_real=nan", "n_real=1e400", "m=-inf"])
+    @pytest.mark.parametrize("sweep", ["n_real=nan", "n_real=1e400", "m=-inf",
+                                       "alpha=0:1:nan", "alpha=nan:0.2:0.1",
+                                       "alpha=0.1:inf:1"])
     def test_non_finite_integer_sweep(self, capsys, sweep):
         assert run(self.ARGS + ["--sweep", sweep]) == 2
-        assert "needs integers" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        if ":" in sweep:
+            # A range is rejected as a whole, before any value is cast.
+            assert f"sweep range must be finite, got {sweep.partition('=')[2]!r}" in err
+        else:
+            assert "needs integers" in err
+
+    SWEEPABLE = {
+        "bernoulli": "alpha, epsilon, frac_alt, m, n_real, n_synth, q_alt, q_synth_alt, "
+                     "q_synth_null, trials",
+        "outlier": "alpha, contamination_frac, epsilon, m, mu_out, n, n_synth, "
+                   "outlier_frac, rho, trials",
+    }
+
+    @pytest.mark.parametrize("experiment", ["bernoulli", "outlier"])
+    def test_sweepable_names_are_config_fields(self, monkeypatch, capsys, experiment):
+        names = self.SWEEPABLE[experiment]
+        assert run(self.ARGS + ["--experiment", experiment, "--sweep", "seed=1,2"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot sweep 'seed'; choose one of {names}\n"
+        )
+        fields = dataclasses.fields(cli._EXPERIMENTS[experiment])
+        assert sorted(f.name for f in fields if f.name != "seed") == names.split(", ")
+
+        def ran(config):
+            raise ValueError("ran")
+
+        for name in ("run_bernoulli_experiment", "run_outlier_experiment"):
+            monkeypatch.setattr(cli, name, ran)
+        for f in fields:
+            if f.name == "seed":
+                continue
+            assert run(self.ARGS + ["--experiment", experiment,
+                                    "--sweep", f"{f.name}=2.5"]) == 2
+            err = capsys.readouterr().err
+            if f.type == "int":
+                assert err == f"error: sweep over {f.name!r} needs integers, got 2.5\n"
+            else:
+                # Parsed as a float; the point fails validation or the run.
+                assert err.startswith(f"error: sweep {f.name}=2.5: ")
+
+    def test_invalid_base_with_valid_sweep_points(self, tmp_path):
+        out = tmp_path / "a.json"
+        assert run(self.ARGS + ["--alpha", "0.95", "--sweep", "alpha=0.1,0.2",
+                                "--format", "json", "--output", out]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["config"]["alpha"] == 0.95
+        assert [p["value"] for p in payload["points"]] == [0.1, 0.2]
 
     def test_negative_seed_rejected_before_running(self, monkeypatch, capsys):
         monkeypatch.setattr(cli, "run_bernoulli_experiment", lambda config: 1 / 0)
@@ -486,6 +539,27 @@ class TestOutputFiles:
                 raise OSError(28, "No space left on device")
         assert info.value.exit_code == 3
         assert list(tmp_path.iterdir()) == []
+
+    def test_closed_stdout_is_io_error(self):
+        # The read end is closed before the child starts, so that its first
+        # write to stdout fails.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = os.path.dirname(os.path.dirname(synthbh.conformal.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "synthbh", "simulate", "--trials", "2", "--m", "20",
+                 "--seed", "1"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        err = proc.stderr.decode()
+        assert proc.returncode == 3
+        assert err.startswith("error: stdout: ")
+        assert "Traceback" not in err and "Exception ignored" not in err
 
     def test_missing_directory_is_io_error(self, tmp_path, capsys):
         inp = write(tmp_path / "p.csv", PAIR_FILE)

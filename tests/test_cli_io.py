@@ -18,7 +18,7 @@ import math
 import numpy as np
 import pytest
 
-from synthbh import SimConfig, StepUpConfig, run_bernoulli_experiment, \
+from synthbh import OutlierConfig, SimConfig, StepUpConfig, run_bernoulli_experiment, \
     run_outlier_experiment, synth_bh, tables, weighted_synth_bh
 from synthbh.cli import main
 from synthbh.conformal import ScoreBundle, conformal_pvalues, detect_outliers, \
@@ -567,7 +567,7 @@ def test_simulate_outlier_bytes_match_reference(tmp_path, fmt):
     assert main(["simulate", "--experiment", "outlier", "--trials", "3", "--n", "40",
                  "--n-synth", "80", "--m", "30", "--seed", "5", "--format", fmt,
                  "--output", str(out)]) == 0
-    points = [(None, run_outlier_experiment(**base))]
+    points = [(None, run_outlier_experiment(OutlierConfig(**base)))]
     table, summary = ref_simulate_output("outlier", base, 5, None, None, points, fmt)
     assert out.read_bytes() == table.encode()
     if summary is not None:

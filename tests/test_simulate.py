@@ -9,6 +9,7 @@ import pytest
 
 from synthbh import (
     MIRROR_ALT,
+    OutlierConfig,
     SimConfig,
     StepUpConfig,
     TrialMetrics,
@@ -210,7 +211,7 @@ class TestBernoulliExperiment:
 class TestOutlierExperiment:
     def test_metrics_well_formed(self):
         result = run_outlier_experiment(
-            n=60, n_synth=120, m=80, trials=5, seed=9
+            OutlierConfig(n=60, n_synth=120, m=80, trials=5, seed=9)
         )
         for name in result.method_names:
             for row in result.trial_metrics(name):
@@ -218,25 +219,25 @@ class TestOutlierExperiment:
                 assert 0 <= row.power <= 1
 
     def test_no_auxiliary_matches_reference_only_method(self):
-        result = run_outlier_experiment(
+        result = run_outlier_experiment(OutlierConfig(
             n=50, n_synth=0, m=40, trials=6, seed=10, contamination_frac=0.0, rho=0.0
-        )
+        ))
         assert result.trial_metrics("SynthBH") == result.trial_metrics("BH-real")
         assert result.trial_metrics("BH-synth") == result.trial_metrics("BH-real")
 
     def test_same_seed_same_metrics(self):
-        kwargs = dict(n=50, n_synth=100, m=60, trials=5, seed=11)
-        a = run_outlier_experiment(**kwargs)
-        b = run_outlier_experiment(**kwargs)
+        config = OutlierConfig(n=50, n_synth=100, m=60, trials=5, seed=11)
+        a = run_outlier_experiment(config)
+        b = run_outlier_experiment(config)
         assert a.per_trial == b.per_trial
 
     def test_invalid_rho(self):
         with pytest.raises(ValueError, match="rho"):
-            run_outlier_experiment(rho=1.0, trials=1)
+            run_outlier_experiment(OutlierConfig(rho=1.0, trials=1))
 
     def test_invalid_contamination(self):
         with pytest.raises(ValueError, match="contamination_frac"):
-            run_outlier_experiment(contamination_frac=-0.2, trials=1)
+            run_outlier_experiment(OutlierConfig(contamination_frac=-0.2, trials=1))
 
     def test_pvalues_computed_once_per_trial(self, monkeypatch):
         # One p-value stage per trial, which counts over each score set once.
@@ -250,7 +251,7 @@ class TestOutlierExperiment:
                 return _original(*args)
 
             monkeypatch.setattr(module, name, counted)
-        run_outlier_experiment(n=30, n_synth=60, m=20, trials=3, seed=12)
+        run_outlier_experiment(OutlierConfig(n=30, n_synth=60, m=20, trials=3, seed=12))
         assert sorted(calls) == ["_count_at_least"] * 6 + ["outlier_pvalues"] * 3
 
 
@@ -324,10 +325,11 @@ class TestStackedScoring:
         assert result.per_trial == oracle_metrics(draws, config.alpha, config.epsilon)
 
     def test_outlier_experiment_matches_oracle(self):
-        kwargs = dict(n=40, n_synth=80, m=30, outlier_frac=0.1, contamination_frac=0.1,
-                      rho=0.05, seed=14, mu_out=3.0)
-        draws = [simulate._outlier_trial(t, **kwargs) for t in range(6)]
-        result = run_outlier_experiment(trials=6, alpha=0.2, epsilon=0.1, **kwargs)
+        config = OutlierConfig(n=40, n_synth=80, m=30, outlier_frac=0.1,
+                               contamination_frac=0.1, rho=0.05, seed=14, mu_out=3.0,
+                               trials=6, alpha=0.2, epsilon=0.1)
+        draws = [simulate._outlier_trial(config, t) for t in range(6)]
+        result = run_outlier_experiment(config)
         assert result.per_trial == oracle_metrics(draws, 0.2, 0.1)
 
     def test_block_size_follows_m(self):

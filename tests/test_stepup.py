@@ -463,6 +463,36 @@ class TestWeightedSynthBh:
             reference_guarded(pairs, alpha, eps, weights), alpha, static,
         )
 
+    @pytest.mark.parametrize("mode", ["naive", "fast"])
+    @pytest.mark.parametrize("raw, normalize", [
+        ([Fraction(1, 3), Fraction(5, 3), 1], False),
+        ([Fraction(1, 3), Fraction(2, 3), 1], True),
+        ([0.5, 1.5, 1.0], False),
+        ([0.25, 0.75, 1.0], True),
+    ])
+    def test_weights_summed_once_per_exact_run(self, monkeypatch, raw, normalize, mode):
+        # Fraction weights are checked when the config is built, float ones
+        # by the exact run; neither is checked twice.
+        calls = []
+        original = stepup._exact_weights
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(stepup, "_exact_weights", counted)
+        alpha = eps = Fraction(1, 10)
+        config = StepUpConfig(alpha=alpha, epsilon=eps, weights=raw, mode=mode,
+                              normalize_weights=normalize)
+        result = weighted_synth_bh(self.GUARD_BOUND, config)
+        assert len(calls) == 1
+        binary = [Fraction(w) for w in raw]
+        weights = [w * 3 / sum(binary) for w in binary]
+        static = reference_static(self.GUARD_BOUND, alpha, eps, weights) if mode == "fast" else None
+        assert_exact_result(
+            result, reference_guarded(self.GUARD_BOUND, alpha, eps, weights), alpha, static,
+        )
+
 
 class TestInt64Limit:
     """Exact runs just below and just above the int64 limit of the engine.
