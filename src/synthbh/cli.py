@@ -38,6 +38,8 @@ from .tables import EXIT_IO, EXIT_OK, EXIT_VALIDATION, ROWS, CliError, read_pval
     read_result_table, read_role_scores, read_single_column, write_json, write_table  # noqa: F401
 
 NAIVE_BENCH_CAP = 20_000
+# Most points one --sweep range may expand to; each point is a whole experiment.
+MAX_SWEEP_POINTS = 10_000
 
 # The config class of each ``simulate --experiment``.  Its fields are the
 # experiment's flags, in summary order; every field but ``seed`` can be swept.
@@ -188,8 +190,13 @@ def _parse_sweep(text: str, allowed: Mapping[str, type]):
             raise CliError(f"sweep range must be finite, got {rest!r}")
         if step <= 0 or stop < start:
             raise CliError(f"sweep range must have step > 0 and stop >= start, got {rest!r}")
-        count = int(math.floor((stop - start) / step + 1e-9)) + 1
-        values = [start + i * step for i in range(count)]
+        # The count is checked before any point is built.
+        span = (stop - start) / step + 1e-9
+        if not span < MAX_SWEEP_POINTS:
+            raise CliError(
+                f"--sweep range {rest!r} has more than {MAX_SWEEP_POINTS} points"
+            )
+        values = [start + i * step for i in range(int(math.floor(span)) + 1)]
     else:
         try:
             values = [float(p) for p in rest.split(",")]

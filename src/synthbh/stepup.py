@@ -247,10 +247,11 @@ def _fraction_vector(items: list, name: str) -> tuple[list[Fraction], tuple, tup
 def _split_pairs(pairs):
     """Split a sequence of (p_real, p_pooled) into two vectors.
 
-    Returns (p, q, exact).  Exact mode is selected when any entry is a
-    ``Fraction``; all entries are then converted (floats exactly, by their
-    binary value).  The range of float vectors is checked by
-    ``stepup_guarded``.
+    Returns (p, q, exact, checked).  Exact mode is selected when any entry
+    is a ``Fraction``; all entries are then converted (floats exactly, by
+    their binary value).  ``checked`` is true when a float array's (m, 2)
+    block was found in [0, 1] in one pass; otherwise ``stepup_guarded``
+    checks p and q, and names the first value out of range.
     """
     if isinstance(pairs, np.ndarray) and pairs.dtype != object:
         arr = np.asarray(pairs, dtype=np.float64)
@@ -258,17 +259,18 @@ def _split_pairs(pairs):
             raise ValueError("pairs must have shape (m, 2)")
         if arr.shape[0] == 0:
             raise ValueError("pairs must be nonempty")
-        return arr[:, 0], arr[:, 1], False
+        # NaN fails both comparisons.
+        return arr[:, 0], arr[:, 1], False, bool(arr.min() >= 0 and arr.max() <= 1)
     rows = list(pairs)
     if not rows:
         raise ValueError("pairs must be nonempty")
     first = [row[0] for row in rows]
     second = [row[1] for row in rows]
     if any(isinstance(x, Fraction) for x in first + second):
-        return _fraction_vector(first, "p_real"), _fraction_vector(second, "p_pooled"), True
+        return _fraction_vector(first, "p_real"), _fraction_vector(second, "p_pooled"), True, True
     p, _ = _as_prob_vector(np.asarray(first, dtype=np.float64), "p_real")
     q, _ = _as_prob_vector(np.asarray(second, dtype=np.float64), "p_pooled")
-    return p, q, False
+    return p, q, False, False
 
 
 # ---------------------------------------------------------------------------
@@ -360,17 +362,18 @@ def _select(p: np.ndarray, q: np.ndarray, floor, units, thresholds: np.ndarray,
     return k_star, _at_most_kth(v, np.sort(v, axis=1), k_star), v
 
 
-def stepup_guarded(p: np.ndarray, q: np.ndarray,
-                   config: StepUpConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def stepup_guarded(p: np.ndarray, q: np.ndarray, config: StepUpConfig,
+                   checked: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Guarded step-up at ``config`` on each row of (T, m) float64 p and q.
 
     Checks that p and q lie in [0, 1] (named ``pvalues`` when ``bh`` passes
-    one array as both).  Returns ``k_star`` per row, the (T, m) rejection
-    masks and the values compared with the thresholds ``alpha * k / m``.
+    one array as both) unless the caller has: ``checked``.  Returns
+    ``k_star`` per row, the (T, m) rejection masks and the values compared
+    with the thresholds ``alpha * k / m``.
     """
-    if q is p:
+    if not checked and q is p:
         _check_prob_array("pvalues", p)
-    else:
+    elif not checked:
         _check_prob_array("p_real", p)
         _check_prob_array("p_pooled", q)
     m = p.shape[1]
@@ -389,7 +392,7 @@ def bh(pvalues, alpha: Scalar) -> RejectionResult:
     """
     config = StepUpConfig(alpha=alpha)
     values, exact = _as_prob_vector(pvalues, "pvalues")
-    return _run(values, values, exact, config)
+    return _run(values, values, exact, False, config)
 
 
 def synth_bh(pairs, config: StepUpConfig) -> RejectionResult:
@@ -417,19 +420,20 @@ def weighted_synth_bh(pairs, config: StepUpConfig) -> RejectionResult:
     """
     if config.weights is None:
         raise ValueError("weighted_synth_bh requires config.weights")
-    p, q, exact = _split_pairs(pairs)
+    p, q, exact, checked = _split_pairs(pairs)
     m = len(p[0] if exact else p)
     if len(config.weights) != m:
         raise ValueError(f"weights length {len(config.weights)} != number of pairs {m}")
-    return _run(p, q, exact, config)
+    return _run(p, q, exact, checked, config)
 
 
-def _run(p, q, exact: bool, config: StepUpConfig) -> RejectionResult:
+def _run(p, q, exact: bool, checked: bool, config: StepUpConfig) -> RejectionResult:
     """The run of one p and q from ``_as_prob_vector`` or ``_split_pairs``."""
     if exact:
         return _stepup_exact(p, q, config)
     rows = p[np.newaxis]
-    k_star, rejected, modified = stepup_guarded(rows, rows if q is p else q[np.newaxis], config)
+    q_rows = rows if q is p else q[np.newaxis]
+    k_star, rejected, modified = stepup_guarded(rows, q_rows, config, checked)
     k_star = int(k_star[0])
     return RejectionResult(
         k_star=k_star,

@@ -7,11 +7,19 @@ cut into columns at once, each numeric column is converted with one
 with a cell that fails a check, goes through the row-by-row csv loop,
 which gives the same values and raises the first diagnostic in row order.
 
-:func:`write_table` formats every row of a table from one ``%`` template,
-a chunk of rows at a time, and writes exactly the bytes ``csv.writer`` and
+:func:`write_table` writes exactly the bytes ``csv.writer`` and
 ``json.dump(..., indent=2)`` would, except that a CSV field holding a
-carriage return is quoted.  Files are written to a temporary name
-and renamed into place once complete.
+carriage return is quoted.  It builds each chunk of rows as one byte
+buffer: every field is an array of cells, the constant CSV or JSON text
+between fields is a column of cells, and unused cells hold 0xFF, a byte
+no UTF-8 text contains, so one ``bytes.translate`` drops them whatever
+an id holds.  Floats come from :func:`render_floats`, which gives
+CPython's digits for a whole column at once in double-double arithmetic
+and hands a value to CPython's own ``%``/``json.dumps`` when it is inf or
+nan, lies within 2**-20 of a rounding tie or of a decade edge, or (for
+JSON) is a power of two, so no output byte depends on the fast path.
+Integers and strings are converted one cell at a time.  Files are
+written to a temporary name and renamed into place once complete.
 """
 
 from __future__ import annotations
@@ -338,7 +346,9 @@ def _output(path: str | None):
 # Marks the entry of a JSON document that holds the rows of a table.
 ROWS = object()
 
-_CHUNK_ROWS = 1024
+_CHUNK_ROWS = 4096
+# Upper bound on the cells of one block of rows (see _chunk_texts).
+_BLOCK_CELLS = 1 << 18
 # Characters that may make csv.writer quote a field.
 _CSV_SPECIAL = (",", '"', "\r", "\n", "\0")
 
@@ -369,42 +379,318 @@ def _quote_minimal(texts: list[str]) -> list[str]:
     return list(map(field, texts))
 
 
-def _cells(values, fmt: str) -> tuple[str, list]:
-    """The ``%`` field and the values it formats for one column slice."""
+# ---------------------------------------------------------------------------
+# Column text as cells.
+#
+# A field of n rows is an (n, w) uint8 array of cells: the UTF-8 text of
+# row i is row i of the array with every _GAP cell removed.  No UTF-8 text
+# holds the byte 0xFF, so the fields of a chunk are laid side by side and
+# the gaps dropped with one bytes.translate, whatever a string field holds.
+# ---------------------------------------------------------------------------
+
+_GAP = 0xFF
+# A value is handed to CPython when a rounding decision lies this close
+# (in units of the last digit kept) to where it would change.
+_NEAR = 2.0 ** -20
+# 10**p as (hi, lo, tail, e): 10**p == (hi + lo + tail) * 2**e to within
+# 2**-105 relative, hi + lo in [1, 2] with hi and lo 26 bits each.
+_POW10: dict[int, tuple[float, float, float, int]] = {}
+
+
+def _pow10(p: int) -> tuple[float, float, float, int]:
+    if p not in _POW10:
+        # t is 10**p * 2**-shift rounded to 121 bits.
+        if p >= 0:
+            n = 10 ** p
+            shift = n.bit_length() - 121
+            t = n << -shift if shift <= 0 else (n + (1 << (shift - 1))) >> shift
+        else:
+            d = 10 ** -p
+            shift = -120 - d.bit_length()
+            t = ((1 << -shift) + d // 2) // d
+        head = float(t)
+        big = head * 2.0 ** -120
+        hi, lo = _split(big)
+        _POW10[p] = (hi, lo, float(t - int(head)) * 2.0 ** -120, shift + 120)
+    return _POW10[p]
+
+
+def _split(a):
+    """Dekker's split of ``a`` into two halves of 26 bits."""
+    c = a * 134217729.0
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _decimal(a: np.ndarray, style: str):
+    """17-digit integers, decimal exponents and CPython-fallback flags of ``a >= 0``.
+
+    Each value is scaled by 10**(16 - exponent) in double-double arithmetic
+    (error below 2**-47 on a result under 2**57) and rounded to an integer
+    of 17 digits; zero is the integer 0 at exponent 0.  Style ``"r"`` then
+    keeps the fewest leading digits that still read back as the value,
+    trying one digit fewer while that holds: a double's rounding interval
+    is symmetric unless it is a power of two, so the nearest shorter
+    number is the one to try.  A value is flagged when it is not finite,
+    when a rounding or read-back decision lies within _NEAR of a tie, when
+    its scaled value lies within _NEAR (relative) of 10**16 or 10**17, or,
+    in style ``"r"``, when it is a power of two or still shortens after
+    most of its chunk has stopped.
+
+    Every array here has a whole chunk's length or at least 1024 bytes:
+    numpy keeps freed arrays under 1024 bytes for reuse, and such an array
+    made in the middle of the heap during a write holds the freed input of
+    the run below it there, which raised the peak memory of later runs.
+    """
+    finite = np.isfinite(a)
+    positive = finite & (a > 0)
+    a = np.where(positive, a, 1.0)
+    m, e2 = np.frexp(a)
+    exponent = np.floor(np.log10(a)).astype(np.int64)
+    p = 16 - exponent
+    first = int(p.min())
+    table = [_pow10(k) for k in range(first, int(p.max()) + 1)]
+    table += table[-1:] * (128 - len(table))
+    hi, lo, tail, shift = (np.array(column).take(p - first) for column in zip(*table))
+    # (head, tail) = m * 10**p * 2**-shift as a double-double.
+    m_hi, m_lo = _split(m)
+    big = hi + lo
+    head = m * big
+    tail = ((m_hi * hi - head) + m_hi * lo + m_lo * hi) + m_lo * lo + m * tail
+    total = head + tail
+    tail -= total - head
+    scale = (e2 + shift).astype(np.int32)
+    head = np.ldexp(total, scale)
+    tail = np.ldexp(tail, scale)
+    floor = np.floor(tail)
+    whole = head.astype(np.int64) + floor.astype(np.int64)
+    frac = tail - floor
+    near = (head < 1e16 * (1 + _NEAR)) | (head > 1e17 * (1 - _NEAR))
+    near |= np.abs(frac - 0.5) < _NEAR
+    if style == "r":
+        near |= m == 0.5
+    fallback = ~finite | (positive & near)
+    # Zero is the digit 0 at exponent 0 (log10(1.0)).
+    digits = np.where(positive, whole + (frac > 0.5), 0)
+    if style == "g":
+        return digits, exponent, fallback
+    # Half the gap to the neighbouring doubles, in units of the last digit.
+    half = np.ldexp(big, (shift + np.maximum(e2 - 53, -1074) - 1).astype(np.int32))
+    shorter = positive & ~fallback
+    for places in range(1, 17):
+        step = 10 ** places
+        q, r = np.divmod(whole, step)
+        twice = (2 * r - step) + 2 * frac
+        up = twice > 0
+        dist = np.where(up, (step - r) - frac, r + frac)
+        unsure = shorter & ((np.abs(twice) < 2 * _NEAR)
+                            | (np.abs(dist - half) < _NEAR + half * 2.0 ** -40))
+        fallback |= unsure
+        shorter &= (dist < half) & ~unsure
+        np.copyto(digits, (q + up) * step, where=shorter)
+        if np.count_nonzero(shorter) < 16:
+            fallback |= shorter
+            break
+    # A shortest form of 10**17 (a subnormal rounding up) is 10**16 one decade higher.
+    carry = digits >= 10 ** 17
+    return np.where(carry, digits // 10, digits), exponent + carry, fallback
+
+
+def _cell_tables():
+    """Lookup tables of the cell layout of a float.
+
+    A float's 48 cells are: sign, ``0``, ``.``, three zeros (the prefix of
+    ``0.000ddd``), then digits d0..d16 each followed by a cell for a
+    decimal point, then ``e``, the exponent's sign and its digits, padded
+    to six 64-bit words.  The tables are built when the module loads,
+    before any table is read: built during the first write, they stayed
+    above the freed input on the heap and raised the peak memory of later
+    runs in the same process.
+    """
+    group = np.arange(10000, dtype=np.uint64)
+    chars = [group // 10 ** k % 10 + 48 for k in (3, 2, 1, 0)]
+    # Four digits in the even cells of a word, for d1..d16.
+    spaced = chars[0] | chars[1] << 16 | chars[2] << 32 | chars[3] << 48
+    zeros = sum((group % (10 * k) == 0).astype(np.int64) for k in (1, 10, 100, 1000))
+    # Words 0..4 by (digits kept, point after digit): gaps for dropped
+    # digits and unused points, ``.`` for the point, zero elsewhere.
+    masks = np.zeros((18, 17, 40), np.uint8)
+    digit = np.arange(17)
+    masks[:, :, 6::2] = np.where(digit < np.arange(18)[:, None, None], 0, _GAP)
+    masks[:, :, 7::2] = np.where(digit == np.arange(-1, 16)[:, None], ord("."), _GAP)
+    masks = masks.reshape(18 * 17, 40).view("<u8")
+    # Cells 0..7 by sign and by zeros after ``0.`` (none, or 0-3); the
+    # last two, d0 and its point, stay zero.
+    prefix = b""
+    for sign in (b"\xff", b"-"):
+        for lead in (b"", b"0.", b"0.0", b"0.00", b"0.000"):
+            prefix += sign + lead.ljust(5, b"\xff") + b"\0\0"
+    # Cells 40..47 by exponent (-324..308), then all gaps.
+    suffix = b"".join(f"e{e:+03d}".encode().ljust(8, b"\xff") for e in range(-324, 309))
+    return (spaced, zeros, masks, np.frombuffer(prefix, "<u8"),
+            np.frombuffer(suffix + b"\xff" * 8, "<u8"))
+
+
+_SPACED, _ZEROS, _MASKS, _PREFIX, _SUFFIX = _cell_tables()
+
+
+def _groups(rest: np.ndarray) -> list[np.ndarray]:
+    """The four 4-digit groups of integers below 10**16, high to low."""
+    high = rest // 10 ** 8
+    low = (rest - high * 10 ** 8).astype(np.float64)
+    high = high.astype(np.float64)
+    out = []
+    for half in (high, low):
+        # Exact: both halves are below 10**8.
+        upper = np.floor(half / 1e4)
+        out += [upper.astype(np.intp), (half - upper * 1e4).astype(np.intp)]
+    return out
+
+
+def render_floats(x, style: str) -> np.ndarray:
+    """The cells of CPython's text of each value of a nonempty float array.
+
+    Style ``"g"`` gives ``'%.17g' % v`` and style ``"r"`` ``json.dumps(v)``,
+    which is ``repr(v)`` for a finite value.  Returns an (n, 48) uint8
+    array; row i without its 0xFF cells is the ASCII text of ``x[i]``.
+    Values that :func:`_decimal` flags are formatted by CPython, each
+    distinct one once per call, so no output byte depends on the fast path.
+    """
+    x = np.asarray(x, dtype=np.float64).ravel()
+    digits, exponent, fallback = _decimal(np.abs(x), style)
+    digits[fallback] = 10 ** 16
+    top = digits // 10 ** 16
+    groups = _groups(digits - top * 10 ** 16)
+    # Significant digits: 17 less the trailing zeros.
+    trailing = _ZEROS.take(groups[3])
+    run = groups[3] == 0
+    for group in groups[2::-1]:
+        if not run.any():
+            break
+        trailing += run * _ZEROS.take(group)
+        run &= group == 0
+    n = 17 - trailing
+    small = exponent < 0
+    fixed = (exponent >= -4) & (exponent < (17 if style == "g" else 16))
+    # Digits printed, and the digit the point follows (-1: no point).
+    # '%.17g' drops a point with nothing after it; repr writes ".0".
+    whole = exponent + (1 if style == "g" else 2)
+    keep = np.where(small | ~fixed, n, np.maximum(n, whole))
+    point = exponent if style == "r" else np.where(n > whole, exponent, -1)
+    dot = np.where(fixed, np.where(small, -1, point), np.where(n > 1, 0, -1))
+    words = np.empty((x.size, 6), "<u8")
+    words[:, :5] = _MASKS.take(keep * 17 + dot + 1, axis=0)
+    for k, group in enumerate(groups, start=1):
+        words[:, k] |= _SPACED.take(group)
+    neg = np.signbit(x).astype(np.intp)
+    words[:, 0] |= _PREFIX.take(neg * 5 + np.where(small & fixed, -exponent, 0))
+    words[:, 0] |= (top + 48).astype("<u8") << np.uint64(48)
+    words[:, 5] = _SUFFIX.take(np.where(fixed, 633, exponent + 324))
+    cells = words.view(np.uint8)
+    if fallback.any():
+        # Row by row, with no small arrays (see _decimal).
+        fmt = "%.17g".__mod__ if style == "g" else json.dumps
+        flat = memoryview(cells.reshape(-1))
+        flags = fallback.tobytes()
+        bits = x.view(np.int64)
+        texts: dict[int, bytes] = {}
+        i = flags.find(1)
+        while i >= 0:
+            key = bits.item(i)
+            if key not in texts:
+                texts[key] = fmt(x.item(i)).encode().ljust(48, b"\xff")
+            flat[48 * i:48 * i + 48] = texts[key]
+            i = flags.find(1, i + 1)
+    return cells
+
+
+def _string_cells(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The UTF-8 of ``texts``, each followed by a gap, and where each gap is.
+
+    Lone surrogates pass through, so the text decodes back unchanged.
+    """
+    data = b"\xff".join([t.encode("utf-8", "surrogatepass") for t in texts]) + b"\xff"
+    data = np.frombuffer(data, np.uint8)
+    return data, np.flatnonzero(data == _GAP)
+
+
+def _spread(data: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """The (n, w) cells of rows ``data[ends[i-1]+1 : ends[i]+1]``, gap-filled."""
+    counts = np.diff(ends, prepend=-1)
+    width = int(counts.max())
+    cells = np.full((ends.size, width), _GAP, np.uint8)
+    starts = ends + 1 - counts
+    cells.ravel()[np.repeat(np.arange(ends.size) * width - starts, counts)
+                  + np.arange(data.size)] = data
+    return cells
+
+
+_BOOL_CELLS = np.frombuffer(b"false" + b"true\xff", np.uint8).reshape(2, 5)
+
+
+def _field(values, fmt: str):
+    """One column slice as cells, or as (data, ends) of :func:`_string_cells`."""
     if isinstance(values, np.ndarray):
         if values.dtype == bool:
-            return "%s", np.where(values, "true", "false").tolist()
+            return _BOOL_CELLS[values.view(np.uint8)]
         if values.dtype.kind in "iu":
-            return "%d", values.tolist()
-        if fmt == "csv":
-            return "%.17g", values.tolist()
-        if np.isfinite(values).all():
-            # %r of a Python float is float.__repr__, as json writes it.
-            return "%r", values.tolist()
-        return "%s", list(map(json.dumps, values.tolist()))
+            return _string_cells(list(map(str, values.tolist())))
+        return render_floats(values, "g" if fmt == "csv" else "r")
     if fmt == "csv":
-        return "%s", _quote_minimal(list(values))
-    return "%s", [
-        encode_basestring_ascii(v) if isinstance(v, str) else json.dumps(v)
-        for v in values
-    ]
+        return _string_cells(_quote_minimal(list(values)))
+    return _string_cells([encode_basestring_ascii(v) if isinstance(v, str) else json.dumps(v)
+                          for v in values])
 
 
-def _write_rows(handle, columns: Mapping[str, Sequence], n: int, fmt: str, template,
-                separator: str) -> None:
+def _chunk_texts(columns: list, fmt: str, pieces: list[bytes]):
+    """The text of the rows of ``columns``, a block of rows at a time.
+
+    Row text is ``pieces[k]`` before field k, and ``pieces[-1]`` last.  The
+    cells of all fields and pieces are joined row by row and the gaps
+    dropped.  A block holds at most about _BLOCK_CELLS cells, so that the
+    buffers of a wide table, or of a very long string field, stay small.
+    """
+    fields = [_field(values, fmt) for values in columns]
+    n = len(columns[0])
+    width = sum(len(piece) for piece in pieces) + sum(
+        f.shape[1] if isinstance(f, np.ndarray) else int(np.diff(f[1], prepend=-1).max())
+        for f in fields)
+    step = max(1, _BLOCK_CELLS // width)
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        rows = []
+        for piece, field in itertools.zip_longest(pieces, fields):
+            if piece:
+                rows.append(np.broadcast_to(np.frombuffer(piece, np.uint8),
+                                            (stop - start, len(piece))))
+            if isinstance(field, np.ndarray):
+                rows.append(field[start:stop])
+            elif field is not None:
+                data, ends = field
+                first = ends[start - 1] + 1 if start else 0
+                rows.append(_spread(data[first:ends[stop - 1] + 1], ends[start:stop] - first))
+        buffer = bytearray((stop - start) * sum(cells.shape[1] for cells in rows))
+        np.concatenate(rows, axis=1, out=np.frombuffer(buffer, np.uint8).reshape(stop - start, -1))
+        del rows
+        yield buffer.translate(None, b"\xff").decode("utf-8", "surrogatepass")
+
+
+def _write_rows(handle, columns: Mapping[str, Sequence], n: int, fmt: str,
+                pieces: list[str], separator: str) -> None:
     """Write the ``n`` rows of ``columns``, ``_CHUNK_ROWS`` at a time.
 
-    ``template`` maps the ``%`` fields of the columns to one row's
-    template; rows are joined by ``separator``.
+    Row text is ``pieces[0]``, field 0, ``pieces[1]``, ..., the last
+    field, ``pieces[-1]``; rows are joined by ``separator``.
     """
+    encoded = [piece.encode() for piece in pieces]
+    # Each row starts with the separator, which the first row then drops.
+    encoded[0] = separator.encode() + encoded[0]
+    skip = len(separator)
     for start in range(0, n, _CHUNK_ROWS):
-        stop = start + _CHUNK_ROWS
-        fields, values = zip(*(_cells(col[start:stop], fmt) for col in columns.values()))
-        if start:
-            handle.write(separator)
-        handle.write(separator.join(map(template(fields).__mod__, zip(*values))))
-        # Free this chunk's cells before the next chunk's are made.
-        del values
+        chunk = [col[start:start + _CHUNK_ROWS] for col in columns.values()]
+        for text in _chunk_texts(chunk, fmt, encoded):
+            handle.write(text[skip:] if skip else text)
+            skip = 0
 
 
 def write_table(
@@ -426,7 +712,7 @@ def write_table(
     with _output(output) as handle:
         if fmt == "csv":
             handle.write(",".join(_quote_minimal(list(columns))) + "\n")
-            _write_rows(handle, columns, n, fmt, lambda fields: ",".join(fields) + "\n", "")
+            _write_rows(handle, columns, n, fmt, [""] + [","] * (len(columns) - 1) + ["\n"], "")
             rest = {k: v for k, v in summary.items() if v is not ROWS}
             if rest:
                 handle.write("# " + " ".join(
@@ -434,12 +720,8 @@ def write_table(
                     for k, v in rest.items()
                 ) + "\n")
             return
-        keys = [encode_basestring_ascii(name).replace("%", "%%") for name in columns]
-
-        def template(fields):
-            body = ",\n".join(f"      {k}: {f}" for k, f in zip(keys, fields))
-            return "    {\n" + body + "\n    }"
-
+        keys = [f"      {encode_basestring_ascii(name)}: " for name in columns]
+        pieces = ["    {\n" + keys[0]] + [",\n" + key for key in keys[1:]] + ["\n    }"]
         for index, (key, value) in enumerate(summary.items()):
             opening = "," if index else "{"
             handle.write(f"{opening}\n  {encode_basestring_ascii(key)}: ")
@@ -452,7 +734,7 @@ def write_table(
                 handle.write("[]")
                 continue
             handle.write("[\n")
-            _write_rows(handle, columns, n, fmt, template, ",\n")
+            _write_rows(handle, columns, n, fmt, pieces, ",\n")
             handle.write("\n  ]")
         handle.write("\n}\n")
 

@@ -376,6 +376,33 @@ class TestCmdSimulate:
         assert run(self.ARGS + ["--sweep", "epsilon=0.3:0.1:0.1"]) == 2
         assert "sweep range" in capsys.readouterr().err
 
+    def test_huge_sweep_range_refused_before_building(self):
+        # In a child capped at 1 GiB of address space, so that building the
+        # ~1e300 points would fail fast instead of filling the machine.  One
+        # BLAS thread keeps the stacks of a thread per core under the cap.
+        resource = pytest.importorskip("resource")
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        src = os.path.dirname(os.path.dirname(synthbh.conformal.__file__))
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+               "MKL_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "synthbh", *self.ARGS, "--sweep", "alpha=0:1:1e-300"],
+            capture_output=True, env=env, timeout=120, preexec_fn=cap,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.decode() == (
+            f"error: --sweep range '0:1:1e-300' has more than {cli.MAX_SWEEP_POINTS} points\n")
+
+    @pytest.mark.parametrize("sweep", ["alpha=0:1:1e-4", "n_real=1:1e308:1e-308"])
+    def test_sweep_point_ceiling(self, capsys, sweep):
+        # 0:1:1e-4 is one point over the ceiling; the second overflows to inf.
+        assert run(self.ARGS + ["--sweep", sweep]) == 2
+        assert "--sweep range" in capsys.readouterr().err
+
     @pytest.mark.parametrize("sweep", ["n_real=nan", "n_real=1e400", "m=-inf",
                                        "alpha=0:1:nan", "alpha=nan:0.2:0.1",
                                        "alpha=0.1:inf:1"])
@@ -516,16 +543,16 @@ class TestOutputFiles:
         out = tmp_path / "r.csv"
         out.write_text("previous\n")
         monkeypatch.setattr(tables, "_CHUNK_ROWS", 1)
-        original = tables._cells
+        original = tables._chunk_texts
         calls = []
 
-        def failing(values, fmt):
+        def failing(columns, fmt, pieces):
             calls.append(fmt)
-            if len(calls) > 5:  # the second chunk, after the first is written
+            if len(calls) > 1:  # the second chunk, after the first is written
                 raise OSError(28, "No space left on device")
-            return original(values, fmt)
+            return original(columns, fmt, pieces)
 
-        monkeypatch.setattr(tables, "_cells", failing)
+        monkeypatch.setattr(tables, "_chunk_texts", failing)
         assert run(["test", inp, "--output", out]) == 3
         assert f"{out}: No space left on device" in capsys.readouterr().err
         assert out.read_text() == "previous\n"

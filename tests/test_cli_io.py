@@ -578,7 +578,16 @@ def test_write_table_matches_csv_and_json_modules(tmp_path):
     rng = np.random.default_rng(20245)
     specials = [0.0, -0.0, 5e-324, 1e308, float("nan"), float("inf"), -float("inf"),
                 math.nextafter(1.0, 2.0), 1 / 3]
-    for case in range(30):
+    # Powers of ten and their neighbours, powers of two and subnormals: the
+    # values near the decade edges and rounding ties that the float kernel
+    # hands to CPython, and the ones just beside them that it does not.
+    for k in range(-323, 309, 7):
+        for v in (10.0 ** k, float(f"1e{k}")):
+            specials += [v, math.nextafter(v, math.inf), -math.nextafter(v, 0.0)]
+    specials += [2.0 ** k for k in range(-1074, 1024, 37)]
+    specials += [-2.2250738585072014e-308, 2.225073858507201e-308, 1.7976931348623157e308,
+                 9007199254740993.0, 1e16, 1e17, 1e15, 123456789012345680.0, 0.1, 1e-5]
+    for case in range(200):
         n = int(rng.integers(0, 9))
         floats = np.array([pick(rng, specials) if rng.random() < 0.5 else float(rng.normal())
                            for _ in range(n)])
