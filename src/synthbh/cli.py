@@ -9,8 +9,9 @@ Subcommands:
 * ``bench``     wall-clock timing of the fast and naive engines
 
 Input is always headered CSV; summaries are emitted as JSON (output-only).
-Floats are serialized with 17 significant digits so that written results
-parse back to the exact same values.  Exit codes: 0 success, 2 validation
+CSV floats are written with 17 significant digits and JSON floats with
+``repr``'s shortest round-trip digits, so written results parse back to
+the exact same values.  Exit codes: 0 success, 2 validation
 error, 3 I/O error.  All randomness flows from ``--seed``; when omitted a
 fresh seed is drawn and announced on stderr; simulation results depend on
 the seed alone.

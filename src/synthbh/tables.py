@@ -1,11 +1,13 @@
 """CSV and JSON tables for the command line, read and written by whole columns.
 
-The readers take the header with the csv module and the rest of the file
-as one string.  When that body is plain (see :func:`_split_columns`) it is
-cut into columns at once, each numeric column is converted with one
-``float`` pass, and the checks run on arrays.  Any other body, and any body
-with a cell that fails a check, goes through the row-by-row csv loop,
-which gives the same values and raises the first diagnostic in row order.
+The three readers share one column reader, :func:`_read_columns`.  It
+takes the header with the csv module and the rest of the file as one
+string, which is cut into columns at once when it is plain (see
+:func:`_split_columns`) and parsed by the csv module otherwise; both give
+the same cells.  Each column is then converted and checked as a whole,
+with one pass per column kind.  Only when a column fails, or a record has
+the wrong number of fields, are the rows walked in order, one cell at a
+time, to raise the first diagnostic.
 
 :func:`write_table` writes exactly the bytes ``csv.writer`` and
 ``json.dump(..., indent=2)`` would, except that a CSV field holding a
@@ -117,9 +119,9 @@ def _split_columns(body: str, width: int) -> list[list[str]] | None:
     """``body`` cut into ``width`` columns of cells without the csv module.
 
     Returns None unless every line holds exactly ``width`` plain fields:
-    no quote, no carriage return, no NUL, and no line longer than the csv
-    field size limit.  ``csv.reader`` gives the same cells on every body
-    this accepts, so only the row-by-row path needs to know csv's rules.
+    no quote, no carriage return, no NUL, no blank line (csv reads it as a
+    record of no fields), and no line longer than the csv field size
+    limit.  ``csv.reader`` gives the same cells on every body this accepts.
     """
     if not body:
         return [[] for _ in range(width)]
@@ -133,50 +135,95 @@ def _split_columns(body: str, width: int) -> list[list[str]] | None:
     if max(map(len, lines)) > csv.field_size_limit():
         return None
     if width == 1:
-        return [lines]
+        return None if "" in lines else [lines]
     del lines
     cells = body.replace("\n", ",").split(",")
     return [cells[k::width] for k in range(width)]
 
 
-def _split_floats(body: str, width: int, first: int):
-    """Columns of ``body`` before ``first`` as text, and the rest as floats.
+# Column kinds: "text" (str cells as read), "float" (finite), "probability"
+# (in [0, 1]), "weight" (finite and >= 0) and "role" (one of _ROLES after
+# stripping, read as its index).
+_ROLES = ("real", "synth", "test")
 
-    Each float column is one ``float`` pass over its cells.  None when
-    :func:`_split_columns` declines ``body`` or a cell is not a number.
-    """
-    columns = _split_columns(body, width)
-    if columns is None:
-        return None
+
+def _convert(kind: str, cells: list[str]):
+    """The column ``cells`` as ``kind``, or None when some cell fails."""
+    if kind == "text":
+        return cells
+    if kind == "role":
+        spellings = {text: text.strip() for text in set(cells)}
+        if not set(spellings.values()) <= set(_ROLES):
+            return None
+        code = {text: _ROLES.index(role) for text, role in spellings.items()}
+        return np.fromiter(map(code.__getitem__, cells), np.int8, len(cells))
     try:
-        floats = [np.fromiter(map(float, c), np.float64, len(c)) for c in columns[first:]]
+        x = np.fromiter(map(float, cells), np.float64, len(cells))
     except ValueError:
         return None
-    return columns[:first], floats
+    if kind == "probability":
+        ok = ((x >= 0) & (x <= 1)).all()
+    elif kind == "weight":
+        ok = (np.isfinite(x) & (x >= 0)).all()
+    else:
+        ok = np.isfinite(x).all()
+    return x if ok else None
 
 
-def _parse_cell(path: str, row_num: int, column: str, text: str) -> float:
+def _cell_error(kind: str, text: str) -> str | None:
+    """What is wrong with one cell of a non-text ``kind``, or None."""
+    if kind == "role":
+        if text.strip() in _ROLES:
+            return None
+        return f"unknown role {text!r} (expected real, synth, or test)"
     try:
         value = float(text)
     except ValueError:
-        raise CliError(
-            f"{path}: row {row_num}, column {column!r}: not a number: {text!r}"
-        ) from None
+        return f"not a number: {text!r}"
     if not math.isfinite(value):
-        raise CliError(
-            f"{path}: row {row_num}, column {column!r}: non-finite value {text!r}"
-        )
-    return value
+        return f"non-finite value {text!r}"
+    if kind == "probability" and not 0 <= value <= 1:
+        return f"value {text} outside [0, 1]"
+    if kind == "weight" and value < 0:
+        return f"negative value {text}"
+    return None
 
 
-def _parse_probability_cell(path: str, row_num: int, column: str, text: str) -> float:
-    value = _parse_cell(path, row_num, column, text)
-    if not (0 <= value <= 1):
-        raise CliError(
-            f"{path}: row {row_num}, column {column!r}: "
-            f"value {text} outside [0, 1]"
-        )
-    return value
+def _read_columns(path: str, headers: Sequence[list[str]], expected: str,
+                  kinds: Sequence[str]) -> list:
+    """The columns of the CSV at ``path``, each converted to its kind.
+
+    The stripped header must be one of ``headers`` (``expected`` spells
+    them in the diagnostic); column k of a header has kind ``kinds[k]``.
+    Each column is converted and checked as a whole.  Only when one fails,
+    or a record has the wrong number of fields, are the rows walked in
+    order, to raise the first diagnostic: a bad cell before the first bad
+    record, in column order within its row, or else that record.
+    """
+    header, body = _read_text(path)
+    if header not in headers:
+        raise CliError(f"{path}: expected header {expected}, got {','.join(header)}")
+    width = len(header)
+    columns = _split_columns(body, width)
+    ragged = None
+    if columns is None:
+        records = _records(path, body)
+        end = next((i for i, row in enumerate(records) if len(row) != width), len(records))
+        if end < len(records):
+            fields = "field" if width == 1 else "fields"
+            ragged = f"row {end + 2}: expected {width} {fields}, got {len(records[end])}"
+        columns = [list(cells) for cells in zip(*records[:end])] or [[] for _ in header]
+        del records
+    values = [_convert(kind, cells) for kind, cells in zip(kinds, columns)]
+    if ragged is None and all(v is not None for v in values):
+        return values
+    failed = [k for k, v in enumerate(values) if v is None]
+    for row in range(len(columns[0])):
+        for k in failed:
+            error = _cell_error(kinds[k], columns[k][row])
+            if error is not None:
+                raise CliError(f"{path}: row {row + 2}, column {header[k]!r}: {error}")
+    raise CliError(f"{path}: {ragged}")
 
 
 def read_pvalue_table(path: str):
@@ -184,88 +231,25 @@ def read_pvalue_table(path: str):
 
     Returns (ids, pairs array of shape (m, 2), weights array or None).
     """
-    header, body = _read_text(path)
     required = ["id", "p_real", "p_synth"]
-    if header != required and header != required + ["weight"]:
-        raise CliError(
-            f"{path}: expected header id,p_real,p_synth[,weight], "
-            f"got {','.join(header)}"
-        )
-    has_weight = len(header) == 4
-    fast = _split_floats(body, len(header), 1)
-    if fast is not None:
-        (ids,), (p, q, *w) = fast
-        w = w[0] if has_weight else None
-        probabilities_ok = ((p >= 0) & (p <= 1) & (q >= 0) & (q <= 1)).all()
-        weights_ok = w is None or (np.isfinite(w) & (w >= 0)).all()
-        if probabilities_ok and weights_ok and p.size:
-            return ids, np.column_stack((p, q)), w
-    ids: list[str] = []
-    pairs: list[tuple[float, float]] = []
-    weights: list[float] = []
-    for offset, row in enumerate(_records(path, body), start=2):
-        if len(row) != len(header):
-            raise CliError(
-                f"{path}: row {offset}: expected {len(header)} fields, got {len(row)}"
-            )
-        ids.append(row[0])
-        p = _parse_probability_cell(path, offset, "p_real", row[1])
-        q = _parse_probability_cell(path, offset, "p_synth", row[2])
-        pairs.append((p, q))
-        if has_weight:
-            w = _parse_cell(path, offset, "weight", row[3])
-            if w < 0:
-                raise CliError(
-                    f"{path}: row {offset}, column 'weight': negative value {row[3]}"
-                )
-            weights.append(w)
+    ids, p, q, *w = _read_columns(path, (required, required + ["weight"]),
+                                  "id,p_real,p_synth[,weight]",
+                                  ("text", "probability", "probability", "weight"))
     if not ids:
         raise CliError(f"{path}: no data rows")
-    return ids, np.array(pairs), (np.array(weights) if has_weight else None)
+    return ids, np.column_stack((p, q)), (w[0] if w else None)
 
 
 def read_single_column(path: str, column: str) -> np.ndarray:
     """Read a one-column CSV whose header names ``column``."""
-    header, body = _read_text(path)
-    if header != [column]:
-        raise CliError(f"{path}: expected header {column!r}, got {','.join(header)}")
-    fast = _split_floats(body, 1, 0)
-    if fast is not None and np.isfinite(fast[1][0]).all():
-        return fast[1][0]
-    values = []
-    for offset, row in enumerate(_records(path, body), start=2):
-        if len(row) != 1:
-            raise CliError(f"{path}: row {offset}: expected 1 field, got {len(row)}")
-        values.append(_parse_cell(path, offset, column, row[0]))
-    return np.array(values)
+    (values,) = _read_columns(path, ([column],), repr(column), ("float",))
+    return values
 
 
 def read_role_scores(path: str) -> dict[str, np.ndarray]:
     """Read a ``role,score`` CSV; roles are real, synth, or test."""
-    header, body = _read_text(path)
-    if header != ["role", "score"]:
-        raise CliError(f"{path}: expected header role,score, got {','.join(header)}")
-    roles = ("real", "synth", "test")
-    fast = _split_floats(body, 2, 1)
-    if fast is not None:
-        (texts,), (values,) = fast
-        spellings = {text: text.strip() for text in set(texts)}
-        if set(spellings.values()) <= set(roles) and np.isfinite(values).all():
-            code = {text: roles.index(role) for text, role in spellings.items()}
-            codes = np.fromiter(map(code.__getitem__, texts), np.int8, values.size)
-            return {role: values[codes == k] for k, role in enumerate(roles)}
-    scores: dict[str, list[float]] = {role: [] for role in roles}
-    for offset, row in enumerate(_records(path, body), start=2):
-        if len(row) != 2:
-            raise CliError(f"{path}: row {offset}: expected 2 fields, got {len(row)}")
-        role = row[0].strip()
-        if role not in scores:
-            raise CliError(
-                f"{path}: row {offset}, column 'role': "
-                f"unknown role {row[0]!r} (expected real, synth, or test)"
-            )
-        scores[role].append(_parse_cell(path, offset, "score", row[1]))
-    return {role: np.array(vals) for role, vals in scores.items()}
+    roles, scores = _read_columns(path, (["role", "score"],), "role,score", ("role", "float"))
+    return {role: scores[roles == k] for k, role in enumerate(_ROLES)}
 
 
 def read_result_table(path: str):

@@ -463,6 +463,34 @@ def test_pvalue_reader_edge_files(tmp_path, text):
         assert want[1][0] == got[1][0] and same_array(want[1][1], got[1][1])
 
 
+# A plain row and a quoted row for each one- and two-column header.
+EDGE_ROWS = {"weight": ("0.5", '"0.25"'), "role,score": ("real,0.5", '"test"," 0.25"')}
+
+
+@pytest.mark.parametrize("header", list(EDGE_ROWS))
+@pytest.mark.parametrize("template", [
+    "{h}\n\n{r}\n", "{h}\n{r}\n\n{r}\n", "{h}\n{r}\n\n", "{h}\n{r}\n \n{r}\n",
+    "{h}\r\n{r}\r\n{r}\r\n", "{h}\n{q}\n{r}\n", "{h}\n{r}\n{r}", "{h}\n", "{h}",
+], ids=["blank-first", "blank-middle", "blank-last", "whitespace-line", "crlf",
+        "quoted", "no-final-newline", "header-newline", "header-only"])
+def test_column_reader_edge_files(tmp_path, header, template):
+    row, quoted = EDGE_ROWS[header]
+    path = write(tmp_path, "e.csv", template.format(h=header, r=row, q=quoted))
+    if header == "weight":
+        want = outcome(ref_read_single_column, path, "weight")
+        got = outcome(read_single_column, path, "weight")
+    else:
+        want, got = outcome(ref_read_role_scores, path), outcome(read_role_scores, path)
+    assert want[0] == got[0], (want, got)
+    if want[0] == "error":
+        assert want == got
+    elif header == "weight":
+        assert same_array(want[1], got[1])
+    else:
+        assert list(want[1]) == list(got[1])
+        assert all(same_array(want[1][role], got[1][role]) for role in want[1])
+
+
 # ---------------------------------------------------------------------------
 # Command outputs.
 # ---------------------------------------------------------------------------
