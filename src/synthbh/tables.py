@@ -1,13 +1,20 @@
 """CSV and JSON tables for the command line, read and written by whole columns.
 
 The three readers share one column reader, :func:`_read_columns`.  It
-takes the header with the csv module and the rest of the file as one
-string, which is cut into columns at once when it is plain (see
-:func:`_split_columns`) and parsed by the csv module otherwise; both give
-the same cells.  Each column is then converted and checked as a whole,
-with one pass per column kind.  Only when a column fails, or a record has
-the wrong number of fields, are the rows walked in order, one cell at a
-time, to raise the first diagnostic.
+reads the file as bytes into a buffer padded on both sides, so that the
+float kernel may read past either end.  A plain file (ASCII, no quote, no
+NUL, every carriage return just before a line feed, the same number of
+fields on every line, no blank line; see :func:`_plain_header` and
+:func:`_cut`) is cut with numpy: every separator is found at once, and
+each column becomes two arrays, where its cells start and end.  Ids are
+gathered into one buffer and split once, roles are matched on their
+bytes, and floats are parsed from the bytes by
+:func:`~synthbh.floattext.parse_floats`, so no Python object is made per
+float cell.  Any other file goes through the csv module, which gives the
+same cells on a plain file.  Each column is converted and checked as a
+whole, with one pass per column kind.  Only when a column fails, or a
+record has the wrong number of fields, are the rows walked in order, one
+cell at a time, to raise the first diagnostic.
 
 :func:`write_table` writes exactly the bytes ``csv.writer`` and
 ``json.dump(..., indent=2)`` would, except that a CSV field holding a
@@ -15,7 +22,8 @@ carriage return is quoted.  It builds each chunk of rows as one byte
 buffer: every field is an array of cells, the constant CSV or JSON text
 between fields is a column of cells, and unused cells hold 0xFF, a byte
 no UTF-8 text contains, so one ``bytes.translate`` drops them whatever
-an id holds.  Floats come from :func:`render_floats`, which gives
+an id holds.  Floats come from
+:func:`~synthbh.floattext.render_floats`, which gives
 CPython's digits for a whole column at once in double-double arithmetic
 and hands a value to CPython's own ``%``/``json.dumps`` when it is inf or
 nan, lies within 2**-20 of a rounding tie or of a decade edge, or (for
@@ -41,6 +49,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .floattext import GAP, PAD, parse_floats, render_floats
+
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_IO = 3
@@ -63,17 +73,34 @@ def _fmt_float(x) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _read_text(path: str) -> tuple[list[str], str]:
-    """The header fields, stripped, and the rest of the file as one string."""
+def _read_bytes(path: str) -> tuple[bytearray, int]:
+    """The bytes of the file at ``path``, from offset PAD of a buffer
+    zero-padded by PAD bytes on each side, and their count."""
     try:
-        with open(path, newline="") as handle:
-            try:
-                header = next(csv.reader(handle), None)
-            except csv.Error as exc:
-                raise CliError(f"{path}: row 1: {exc}") from None
-            body = handle.read()
+        with open(path, "rb") as handle:
+            size = os.fstat(handle.fileno()).st_size
+            data = bytearray(size + 2 * PAD)
+            got = handle.readinto(memoryview(data)[PAD:PAD + size])
+            rest = handle.read()
     except OSError as exc:
         raise CliError(f"{path}: {exc.strerror or exc}", EXIT_IO) from exc
+    if got != size or rest:
+        # The file changed size, or is not a regular file.
+        content = data[PAD:PAD + got] + rest
+        data = bytearray(PAD) + content + bytearray(PAD)
+        size = len(content)
+    return data, size
+
+
+def _read_text(path: str, content: bytes) -> tuple[list[str], str]:
+    """The header fields, stripped, and the rest of ``content`` as one
+    string, decoded as ``open`` decodes a text file."""
+    handle = io.TextIOWrapper(io.BytesIO(content), newline="")
+    try:
+        header = next(csv.reader(handle), None)
+        body = handle.read()
+    except csv.Error as exc:
+        raise CliError(f"{path}: row 1: {exc}") from None
     except UnicodeDecodeError as exc:
         raise _undecodable(path, exc) from None
     if header is None:
@@ -115,36 +142,93 @@ def _records(path: str, body: str) -> list[list[str]]:
     return rows
 
 
-def _split_columns(body: str, width: int) -> list[list[str]] | None:
-    """``body`` cut into ``width`` columns of cells without the csv module.
+def _plain_header(data: bytearray, end: int) -> tuple[list[str], int] | None:
+    """The stripped header of a plain file and where its body starts, or None.
 
-    Returns None unless every line holds exactly ``width`` plain fields:
-    no quote, no carriage return, no NUL, no blank line (csv reads it as a
-    record of no fields), and no line longer than the csv field size
-    limit.  ``csv.reader`` gives the same cells on every body this accepts.
+    A file is plain when it is ASCII and holds no quote and no NUL, and
+    its header line holds no carriage return but one just before its line
+    feed and is within the csv field size limit.  ``csv.reader`` reads
+    ``\r\n`` as a line end, so the header is that line split at commas.
     """
-    if not body:
-        return [[] for _ in range(width)]
-    if '"' in body or "\r" in body or "\0" in body:
+    if not data.isascii() or data.find(b'"', PAD, end) >= 0 or data.find(b"\0", PAD, end) >= 0:
         return None
-    if body.endswith("\n"):
-        body = body[:-1]
-    lines = body.split("\n")
-    if set(map(str.count, lines, itertools.repeat(","))) != {width - 1}:
+    stop = data.find(b"\n", PAD, end)
+    stop = end if stop < 0 else stop
+    line = data[PAD:stop]
+    if line.endswith(b"\r") and stop < end:
+        del line[-1]
+    if b"\r" in line or len(line) > csv.field_size_limit():
         return None
-    if max(map(len, lines)) > csv.field_size_limit():
+    return [h.strip() for h in line.decode("ascii").split(",")] if line else [], stop + 1
+
+
+def _cut(data: bytearray, start: int, end: int, width: int) -> list | None:
+    """The cells of each column of the plain body ``data[start:end]``, or None.
+
+    A column is a pair of arrays: where each of its cells starts and ends.
+    Returns None unless every carriage return stands just before a line
+    feed (csv reads ``\r\n`` as a line end, and a lone one as a line end
+    too), every line holds exactly ``width`` fields, no line is blank (csv
+    reads it as a record of no fields) and no line is longer than the csv
+    field size limit.  The separators are found with numpy; a line feed
+    after the last line is written into the padding.
+    """
+    if start >= end:
+        return [(np.empty(0, np.int64),) * 2] * width
+    if data[end - 1] != ord("\n"):
+        data[end] = ord("\n")
+        end += 1
+    u8 = np.frombuffer(data, np.uint8)
+    body = u8[start:end]
+    mask = body == ord("\n")
+    rows = np.count_nonzero(mask)
+    mask |= body == ord(",")
+    seps = np.flatnonzero(mask)
+    del mask
+    if seps.size != rows * width:
         return None
-    if width == 1:
-        return None if "" in lines else [lines]
-    del lines
-    cells = body.replace("\n", ",").split(",")
-    return [cells[k::width] for k in range(width)]
+    seps += start
+    line_ends = seps[width - 1::width]
+    if not (u8.take(line_ends) == ord("\n")).all():
+        return None
+    line_starts = np.empty(rows, np.int64)
+    line_starts[0] = start
+    line_starts[1:] = line_ends[:-1] + 1
+    if (line_ends - line_starts).max() > csv.field_size_limit():
+        return None
+    crlf = u8.take(line_ends - 1) == ord("\r")
+    if data.find(b"\r", start, end) >= 0 and np.count_nonzero(
+            body == ord("\r")) != np.count_nonzero(crlf):
+        return None
+    last = line_ends - crlf
+    if width == 1 and (last == line_starts).any():
+        return None
+    starts = [line_starts] + [seps[k::width] + 1 for k in range(width - 1)]
+    return list(zip(starts, [seps[k::width] for k in range(width - 1)] + [last]))
 
 
 # Column kinds: "text" (str cells as read), "float" (finite), "probability"
 # (in [0, 1]), "weight" (finite and >= 0) and "role" (one of _ROLES after
 # stripping, read as its index).
 _ROLES = ("real", "synth", "test")
+# Each role's bytes as a little-endian word, and the masks that keep the
+# first k bytes of a word, k = 0..8.
+_ROLE_WORDS = [np.uint64(int.from_bytes(role.encode(), "little")) for role in _ROLES]
+_FIRST_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], np.uint64)
+_TEXT_ROWS = 8192
+# Turns the byte after each gathered cell into a line feed.
+_TO_LINE_FEED = bytes.maketrans(b",\r", b"\n\n")
+
+
+def _checked(kind: str, x: np.ndarray):
+    """The float column ``x`` if each value fits ``kind``, else None."""
+    if kind == "probability":
+        ok = ((x >= 0) & (x <= 1)).all()
+    elif kind == "weight":
+        ok = (np.isfinite(x) & (x >= 0)).all()
+    else:
+        ok = np.isfinite(x).all()
+    return x if ok else None
 
 
 def _convert(kind: str, cells: list[str]):
@@ -161,13 +245,57 @@ def _convert(kind: str, cells: list[str]):
         x = np.fromiter(map(float, cells), np.float64, len(cells))
     except ValueError:
         return None
-    if kind == "probability":
-        ok = ((x >= 0) & (x <= 1)).all()
-    elif kind == "weight":
-        ok = (np.isfinite(x) & (x >= 0)).all()
-    else:
-        ok = np.isfinite(x).all()
-    return x if ok else None
+    return _checked(kind, x)
+
+
+def _texts(data: bytearray, starts: np.ndarray, ends: np.ndarray) -> list[str]:
+    """The cells ``data[starts[i]:ends[i]]`` of a plain body as strings.
+
+    Each cell is gathered with the separator that follows it, _TEXT_ROWS
+    cells at a time, into one buffer that one translate, decode and split
+    turn into the strings.
+    """
+    u8 = np.frombuffer(data, np.uint8)
+    counts = ends - starts + 1
+    out = bytearray(int(counts.sum()))
+    view = np.frombuffer(out, np.uint8)
+    done = 0
+    for first in range(0, counts.size, _TEXT_ROWS):
+        count = counts[first:first + _TEXT_ROWS]
+        offsets = np.cumsum(count)
+        total = int(offsets[-1])
+        offsets += done - count
+        u8.take(np.repeat(starts[first:first + _TEXT_ROWS] - offsets, count)
+                + np.arange(done, done + total), out=view[done:done + total])
+        done += total
+    del view
+    cells = out.translate(_TO_LINE_FEED).decode("ascii").split("\n")
+    cells.pop()
+    return cells
+
+
+def _role_codes(data: bytearray, starts: np.ndarray, ends: np.ndarray):
+    """The role index of each cell spelled exactly as a role, or None."""
+    words = np.ndarray((len(data) - 7,), "S8", data, 0, (1,))[starts].view("<u8")
+    words &= _FIRST_BYTES.take(np.minimum(ends - starts, 8))
+    real, synth, test = (words == role for role in _ROLE_WORDS)
+    if not (real | synth | test).all():
+        return None
+    return synth.view(np.int8) + 2 * test.view(np.int8)
+
+
+def _convert_cut(kind: str, data: bytearray, starts: np.ndarray, ends: np.ndarray):
+    """The cut column ``data[starts[i]:ends[i]]`` as ``kind``, or None when some cell fails.
+
+    A role spelled other than exactly as a role is read as ``_convert`` does.
+    """
+    if kind == "text":
+        return _texts(data, starts, ends)
+    if kind == "role":
+        codes = _role_codes(data, starts, ends)
+        return _convert(kind, _texts(data, starts, ends)) if codes is None else codes
+    x = parse_floats(data, starts, ends)
+    return None if x is None else _checked(kind, x)
 
 
 def _cell_error(kind: str, text: str) -> str | None:
@@ -195,32 +323,55 @@ def _read_columns(path: str, headers: Sequence[list[str]], expected: str,
 
     The stripped header must be one of ``headers`` (``expected`` spells
     them in the diagnostic); column k of a header has kind ``kinds[k]``.
-    Each column is converted and checked as a whole.  Only when one fails,
-    or a record has the wrong number of fields, are the rows walked in
-    order, to raise the first diagnostic: a bad cell before the first bad
-    record, in column order within its row, or else that record.
+    A plain file (see :func:`_plain_header` and :func:`_cut`) is cut into
+    columns of byte ranges; any other goes through the csv module.  Each
+    column is converted and checked as a whole.  Only when one fails, or a
+    record has the wrong number of fields, are the rows walked in order,
+    to raise the first diagnostic: a bad cell before the first bad record,
+    in column order within its row, or else that record.
     """
-    header, body = _read_text(path)
+    data, size = _read_bytes(path)
+    end = PAD + size
+    if not size:
+        raise CliError(f"{path}: empty file")
+    plain = _plain_header(data, end)
+    if plain is None:
+        header, body = _read_text(path, data[PAD:end])
+    else:
+        header, start = plain
     if header not in headers:
         raise CliError(f"{path}: expected header {expected}, got {','.join(header)}")
     width = len(header)
-    columns = _split_columns(body, width)
+    cut = None if plain is None else _cut(data, start, end, width)
     ragged = None
-    if columns is None:
+    if cut is not None:
+        values = [_convert_cut(kind, data, *cells) for kind, cells in zip(kinds, cut)]
+        rows = len(cut[0][0])
+
+        def text(k: int, row: int) -> str:
+            return data[cut[k][0][row]:cut[k][1][row]].decode("ascii")
+    else:
+        if plain is not None:
+            body = data[start:end].decode("ascii")
         records = _records(path, body)
-        end = next((i for i, row in enumerate(records) if len(row) != width), len(records))
-        if end < len(records):
+        del body
+        good = next((i for i, row in enumerate(records) if len(row) != width), len(records))
+        if good < len(records):
             fields = "field" if width == 1 else "fields"
-            ragged = f"row {end + 2}: expected {width} {fields}, got {len(records[end])}"
-        columns = [list(cells) for cells in zip(*records[:end])] or [[] for _ in header]
+            ragged = f"row {good + 2}: expected {width} {fields}, got {len(records[good])}"
+        columns = [list(cells) for cells in zip(*records[:good])] or [[] for _ in header]
         del records
-    values = [_convert(kind, cells) for kind, cells in zip(kinds, columns)]
+        values = [_convert(kind, cells) for kind, cells in zip(kinds, columns)]
+        rows = len(columns[0])
+
+        def text(k: int, row: int) -> str:
+            return columns[k][row]
     if ragged is None and all(v is not None for v in values):
         return values
     failed = [k for k, v in enumerate(values) if v is None]
-    for row in range(len(columns[0])):
+    for row in range(rows):
         for k in failed:
-            error = _cell_error(kinds[k], columns[k][row])
+            error = _cell_error(kinds[k], text(k, row))
             if error is not None:
                 raise CliError(f"{path}: row {row + 2}, column {header[k]!r}: {error}")
     raise CliError(f"{path}: {ragged}")
@@ -367,225 +518,10 @@ def _quote_minimal(texts: list[str]) -> list[str]:
 # Column text as cells.
 #
 # A field of n rows is an (n, w) uint8 array of cells: the UTF-8 text of
-# row i is row i of the array with every _GAP cell removed.  No UTF-8 text
+# row i is row i of the array with every GAP cell removed.  No UTF-8 text
 # holds the byte 0xFF, so the fields of a chunk are laid side by side and
 # the gaps dropped with one bytes.translate, whatever a string field holds.
 # ---------------------------------------------------------------------------
-
-_GAP = 0xFF
-# A value is handed to CPython when a rounding decision lies this close
-# (in units of the last digit kept) to where it would change.
-_NEAR = 2.0 ** -20
-# 10**p as (hi, lo, tail, e): 10**p == (hi + lo + tail) * 2**e to within
-# 2**-105 relative, hi + lo in [1, 2] with hi and lo 26 bits each.
-_POW10: dict[int, tuple[float, float, float, int]] = {}
-
-
-def _pow10(p: int) -> tuple[float, float, float, int]:
-    if p not in _POW10:
-        # t is 10**p * 2**-shift rounded to 121 bits.
-        if p >= 0:
-            n = 10 ** p
-            shift = n.bit_length() - 121
-            t = n << -shift if shift <= 0 else (n + (1 << (shift - 1))) >> shift
-        else:
-            d = 10 ** -p
-            shift = -120 - d.bit_length()
-            t = ((1 << -shift) + d // 2) // d
-        head = float(t)
-        big = head * 2.0 ** -120
-        hi, lo = _split(big)
-        _POW10[p] = (hi, lo, float(t - int(head)) * 2.0 ** -120, shift + 120)
-    return _POW10[p]
-
-
-def _split(a):
-    """Dekker's split of ``a`` into two halves of 26 bits."""
-    c = a * 134217729.0
-    hi = c - (c - a)
-    return hi, a - hi
-
-
-def _decimal(a: np.ndarray, style: str):
-    """17-digit integers, decimal exponents and CPython-fallback flags of ``a >= 0``.
-
-    Each value is scaled by 10**(16 - exponent) in double-double arithmetic
-    (error below 2**-47 on a result under 2**57) and rounded to an integer
-    of 17 digits; zero is the integer 0 at exponent 0.  Style ``"r"`` then
-    keeps the fewest leading digits that still read back as the value,
-    trying one digit fewer while that holds: a double's rounding interval
-    is symmetric unless it is a power of two, so the nearest shorter
-    number is the one to try.  A value is flagged when it is not finite,
-    when a rounding or read-back decision lies within _NEAR of a tie, when
-    its scaled value lies within _NEAR (relative) of 10**16 or 10**17, or,
-    in style ``"r"``, when it is a power of two or still shortens after
-    most of its chunk has stopped.
-
-    Every array here has a whole chunk's length or at least 1024 bytes:
-    numpy keeps freed arrays under 1024 bytes for reuse, and such an array
-    made in the middle of the heap during a write holds the freed input of
-    the run below it there, which raised the peak memory of later runs.
-    """
-    finite = np.isfinite(a)
-    positive = finite & (a > 0)
-    a = np.where(positive, a, 1.0)
-    m, e2 = np.frexp(a)
-    exponent = np.floor(np.log10(a)).astype(np.int64)
-    p = 16 - exponent
-    first = int(p.min())
-    table = [_pow10(k) for k in range(first, int(p.max()) + 1)]
-    table += table[-1:] * (128 - len(table))
-    hi, lo, tail, shift = (np.array(column).take(p - first) for column in zip(*table))
-    # (head, tail) = m * 10**p * 2**-shift as a double-double.
-    m_hi, m_lo = _split(m)
-    big = hi + lo
-    head = m * big
-    tail = ((m_hi * hi - head) + m_hi * lo + m_lo * hi) + m_lo * lo + m * tail
-    total = head + tail
-    tail -= total - head
-    scale = (e2 + shift).astype(np.int32)
-    head = np.ldexp(total, scale)
-    tail = np.ldexp(tail, scale)
-    floor = np.floor(tail)
-    whole = head.astype(np.int64) + floor.astype(np.int64)
-    frac = tail - floor
-    near = (head < 1e16 * (1 + _NEAR)) | (head > 1e17 * (1 - _NEAR))
-    near |= np.abs(frac - 0.5) < _NEAR
-    if style == "r":
-        near |= m == 0.5
-    fallback = ~finite | (positive & near)
-    # Zero is the digit 0 at exponent 0 (log10(1.0)).
-    digits = np.where(positive, whole + (frac > 0.5), 0)
-    if style == "g":
-        return digits, exponent, fallback
-    # Half the gap to the neighbouring doubles, in units of the last digit.
-    half = np.ldexp(big, (shift + np.maximum(e2 - 53, -1074) - 1).astype(np.int32))
-    shorter = positive & ~fallback
-    for places in range(1, 17):
-        step = 10 ** places
-        q, r = np.divmod(whole, step)
-        twice = (2 * r - step) + 2 * frac
-        up = twice > 0
-        dist = np.where(up, (step - r) - frac, r + frac)
-        unsure = shorter & ((np.abs(twice) < 2 * _NEAR)
-                            | (np.abs(dist - half) < _NEAR + half * 2.0 ** -40))
-        fallback |= unsure
-        shorter &= (dist < half) & ~unsure
-        np.copyto(digits, (q + up) * step, where=shorter)
-        if np.count_nonzero(shorter) < 16:
-            fallback |= shorter
-            break
-    # A shortest form of 10**17 (a subnormal rounding up) is 10**16 one decade higher.
-    carry = digits >= 10 ** 17
-    return np.where(carry, digits // 10, digits), exponent + carry, fallback
-
-
-def _cell_tables():
-    """Lookup tables of the cell layout of a float.
-
-    A float's 48 cells are: sign, ``0``, ``.``, three zeros (the prefix of
-    ``0.000ddd``), then digits d0..d16 each followed by a cell for a
-    decimal point, then ``e``, the exponent's sign and its digits, padded
-    to six 64-bit words.  The tables are built when the module loads,
-    before any table is read: built during the first write, they stayed
-    above the freed input on the heap and raised the peak memory of later
-    runs in the same process.
-    """
-    group = np.arange(10000, dtype=np.uint64)
-    chars = [group // 10 ** k % 10 + 48 for k in (3, 2, 1, 0)]
-    # Four digits in the even cells of a word, for d1..d16.
-    spaced = chars[0] | chars[1] << 16 | chars[2] << 32 | chars[3] << 48
-    zeros = sum((group % (10 * k) == 0).astype(np.int64) for k in (1, 10, 100, 1000))
-    # Words 0..4 by (digits kept, point after digit): gaps for dropped
-    # digits and unused points, ``.`` for the point, zero elsewhere.
-    masks = np.zeros((18, 17, 40), np.uint8)
-    digit = np.arange(17)
-    masks[:, :, 6::2] = np.where(digit < np.arange(18)[:, None, None], 0, _GAP)
-    masks[:, :, 7::2] = np.where(digit == np.arange(-1, 16)[:, None], ord("."), _GAP)
-    masks = masks.reshape(18 * 17, 40).view("<u8")
-    # Cells 0..7 by sign and by zeros after ``0.`` (none, or 0-3); the
-    # last two, d0 and its point, stay zero.
-    prefix = b""
-    for sign in (b"\xff", b"-"):
-        for lead in (b"", b"0.", b"0.0", b"0.00", b"0.000"):
-            prefix += sign + lead.ljust(5, b"\xff") + b"\0\0"
-    # Cells 40..47 by exponent (-324..308), then all gaps.
-    suffix = b"".join(f"e{e:+03d}".encode().ljust(8, b"\xff") for e in range(-324, 309))
-    return (spaced, zeros, masks, np.frombuffer(prefix, "<u8"),
-            np.frombuffer(suffix + b"\xff" * 8, "<u8"))
-
-
-_SPACED, _ZEROS, _MASKS, _PREFIX, _SUFFIX = _cell_tables()
-
-
-def _groups(rest: np.ndarray) -> list[np.ndarray]:
-    """The four 4-digit groups of integers below 10**16, high to low."""
-    high = rest // 10 ** 8
-    low = (rest - high * 10 ** 8).astype(np.float64)
-    high = high.astype(np.float64)
-    out = []
-    for half in (high, low):
-        # Exact: both halves are below 10**8.
-        upper = np.floor(half / 1e4)
-        out += [upper.astype(np.intp), (half - upper * 1e4).astype(np.intp)]
-    return out
-
-
-def render_floats(x, style: str) -> np.ndarray:
-    """The cells of CPython's text of each value of a nonempty float array.
-
-    Style ``"g"`` gives ``'%.17g' % v`` and style ``"r"`` ``json.dumps(v)``,
-    which is ``repr(v)`` for a finite value.  Returns an (n, 48) uint8
-    array; row i without its 0xFF cells is the ASCII text of ``x[i]``.
-    Values that :func:`_decimal` flags are formatted by CPython, each
-    distinct one once per call, so no output byte depends on the fast path.
-    """
-    x = np.asarray(x, dtype=np.float64).ravel()
-    digits, exponent, fallback = _decimal(np.abs(x), style)
-    digits[fallback] = 10 ** 16
-    top = digits // 10 ** 16
-    groups = _groups(digits - top * 10 ** 16)
-    # Significant digits: 17 less the trailing zeros.
-    trailing = _ZEROS.take(groups[3])
-    run = groups[3] == 0
-    for group in groups[2::-1]:
-        if not run.any():
-            break
-        trailing += run * _ZEROS.take(group)
-        run &= group == 0
-    n = 17 - trailing
-    small = exponent < 0
-    fixed = (exponent >= -4) & (exponent < (17 if style == "g" else 16))
-    # Digits printed, and the digit the point follows (-1: no point).
-    # '%.17g' drops a point with nothing after it; repr writes ".0".
-    whole = exponent + (1 if style == "g" else 2)
-    keep = np.where(small | ~fixed, n, np.maximum(n, whole))
-    point = exponent if style == "r" else np.where(n > whole, exponent, -1)
-    dot = np.where(fixed, np.where(small, -1, point), np.where(n > 1, 0, -1))
-    words = np.empty((x.size, 6), "<u8")
-    words[:, :5] = _MASKS.take(keep * 17 + dot + 1, axis=0)
-    for k, group in enumerate(groups, start=1):
-        words[:, k] |= _SPACED.take(group)
-    neg = np.signbit(x).astype(np.intp)
-    words[:, 0] |= _PREFIX.take(neg * 5 + np.where(small & fixed, -exponent, 0))
-    words[:, 0] |= (top + 48).astype("<u8") << np.uint64(48)
-    words[:, 5] = _SUFFIX.take(np.where(fixed, 633, exponent + 324))
-    cells = words.view(np.uint8)
-    if fallback.any():
-        # Row by row, with no small arrays (see _decimal).
-        fmt = "%.17g".__mod__ if style == "g" else json.dumps
-        flat = memoryview(cells.reshape(-1))
-        flags = fallback.tobytes()
-        bits = x.view(np.int64)
-        texts: dict[int, bytes] = {}
-        i = flags.find(1)
-        while i >= 0:
-            key = bits.item(i)
-            if key not in texts:
-                texts[key] = fmt(x.item(i)).encode().ljust(48, b"\xff")
-            flat[48 * i:48 * i + 48] = texts[key]
-            i = flags.find(1, i + 1)
-    return cells
 
 
 def _string_cells(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
@@ -595,14 +531,14 @@ def _string_cells(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
     """
     data = b"\xff".join([t.encode("utf-8", "surrogatepass") for t in texts]) + b"\xff"
     data = np.frombuffer(data, np.uint8)
-    return data, np.flatnonzero(data == _GAP)
+    return data, np.flatnonzero(data == GAP)
 
 
 def _spread(data: np.ndarray, ends: np.ndarray) -> np.ndarray:
     """The (n, w) cells of rows ``data[ends[i-1]+1 : ends[i]+1]``, gap-filled."""
     counts = np.diff(ends, prepend=-1)
     width = int(counts.max())
-    cells = np.full((ends.size, width), _GAP, np.uint8)
+    cells = np.full((ends.size, width), GAP, np.uint8)
     starts = ends + 1 - counts
     cells.ravel()[np.repeat(np.arange(ends.size) * width - starts, counts)
                   + np.arange(data.size)] = data

@@ -81,6 +81,12 @@ def test_render_floats_takes_any_float_array():
         assert texts(render_floats(values, "g")) == [("%.17g" % v).encode() for v in as_float]
 
 
+def test_render_floats_takes_an_empty_array():
+    for style in ("g", "r"):
+        cells = render_floats(np.array([]), style)
+        assert cells.shape == (0, 48) and cells.dtype == np.uint8
+
+
 @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint64])
 def test_integer_columns_match_str(tmp_path, dtype):
     info = np.iinfo(dtype)
