@@ -93,18 +93,16 @@ def _read_bytes(path: str) -> tuple[bytearray, int]:
 
 
 def _read_text(path: str, content: bytes) -> tuple[list[str], str]:
-    """The header fields, stripped, and the rest of ``content`` as one
-    string, decoded as ``open`` decodes a text file."""
+    """The header fields, stripped, and the rest of the nonempty
+    ``content`` as one string, decoded as ``open`` decodes a text file."""
     handle = io.TextIOWrapper(io.BytesIO(content), newline="")
     try:
-        header = next(csv.reader(handle), None)
+        header = next(csv.reader(handle))
         body = handle.read()
     except csv.Error as exc:
         raise CliError(f"{path}: row 1: {exc}") from None
     except UnicodeDecodeError as exc:
         raise _undecodable(path, exc) from None
-    if header is None:
-        raise CliError(f"{path}: empty file")
     return [h.strip() for h in header], body
 
 
@@ -147,8 +145,9 @@ def _plain_header(data: bytearray, end: int) -> tuple[list[str], int] | None:
 
     A file is plain when it is ASCII and holds no quote and no NUL, and
     its header line holds no carriage return but one just before its line
-    feed and is within the csv field size limit.  ``csv.reader`` reads
-    ``\r\n`` as a line end, so the header is that line split at commas.
+    feed and is within the csv field size limit.  ``csv.reader`` reads a
+    carriage return and line feed as one line end, so the header is that
+    line split at commas.
     """
     if not data.isascii() or data.find(b'"', PAD, end) >= 0 or data.find(b"\0", PAD, end) >= 0:
         return None
@@ -167,11 +166,12 @@ def _cut(data: bytearray, start: int, end: int, width: int) -> list | None:
 
     A column is a pair of arrays: where each of its cells starts and ends.
     Returns None unless every carriage return stands just before a line
-    feed (csv reads ``\r\n`` as a line end, and a lone one as a line end
-    too), every line holds exactly ``width`` fields, no line is blank (csv
-    reads it as a record of no fields) and no line is longer than the csv
-    field size limit.  The separators are found with numpy; a line feed
-    after the last line is written into the padding.
+    feed (csv reads the pair as one line end), every line holds exactly
+    ``width`` fields, no line is blank (csv reads it as a record of no
+    fields) and no line is longer than the csv field size limit.  The
+    separators are found with numpy; a line feed after the last line is
+    written into the padding (a carriage return that ends the file then
+    ends its last line, as csv reads it).
     """
     if start >= end:
         return [(np.empty(0, np.int64),) * 2] * width
