@@ -355,6 +355,13 @@ def _bits(text: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return np.packbits(text, bitorder="little").view("<u4") & mask
 
 
+def _bit_index(bit: np.ndarray) -> np.ndarray:
+    """The index of the one set bit of each 32-bit mask in ``bit``, 32 where none is."""
+    index = np.frexp(bit.astype(np.float64))[1].astype(np.int64) - 1
+    index[index < 0] = 32
+    return index
+
+
 def _parse_chunk(cells: np.ndarray, starts: np.ndarray, ends: np.ndarray):
     """Values of the plain cells of a chunk and the flags of the rest.
 
@@ -370,10 +377,10 @@ def _parse_chunk(cells: np.ndarray, starts: np.ndarray, ends: np.ndarray):
     exps = _bits((text | 32) == ord("e"), span)
     dots = _bits(text == ord("."), span)
     # Bytes below the first e (all of them when there is none).
-    below = (exps & -exps) - _ONE
-    end = np.bitwise_count(below).astype(np.int64)
-    dots &= below
-    point = np.bitwise_count((dots & -dots) - _ONE).astype(np.int64)
+    first_e = exps & -exps
+    end = _bit_index(first_e)
+    dots &= first_e - _ONE
+    point = _bit_index(dots & -dots)
     dotted = point < end
     # The first character, and the one after the e.
     flat = text.reshape(-1)
