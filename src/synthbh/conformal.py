@@ -119,26 +119,37 @@ def apply_jitter(bundle: ScoreBundle, spec: JitterSpec) -> ScoreBundle:
     )
 
 
-def _count_at_least(scores: np.ndarray, test: np.ndarray) -> np.ndarray:
-    """``#{scores >= t}`` for each test score t, from one sort of ``scores``."""
-    return scores.size - np.searchsorted(np.sort(scores), test, side="left")
+def _count_at_least(scores: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """``#{scores >= t}`` for each t of the ascending ``queries``.
+
+    ``scores`` is sorted once and the sorted queries are looked up in it,
+    so successive lookups touch neighbouring entries of the sorted scores
+    instead of jumping across them as unsorted queries do.
+    """
+    return scores.size - np.searchsorted(np.sort(scores), queries, side="left")
 
 
 def outlier_pvalues(bundle: ScoreBundle,
                     jitter: JitterSpec | None = None) -> tuple[np.ndarray, np.ndarray]:
     """``(p_real, p_merged)`` for every test score, after optional jitter.
 
-    One count over the reference scores serves both p-values.  Trimming the
-    auxiliary set is left to the caller (:func:`trim_by_score`).
+    The test scores are sorted once, both counts are taken in that order
+    (a count does not depend on the order of the queries), and the
+    p-values are put back in the order of the test scores.  One count over
+    the reference scores serves both p-values.  Trimming the auxiliary set
+    is left to the caller (:func:`trim_by_score`).
     """
     if jitter is not None:
         bundle = apply_jitter(bundle, jitter)
-    count_real = _count_at_least(bundle.real_scores, bundle.test_scores)
-    count_all = count_real + _count_at_least(bundle.synth_scores, bundle.test_scores)
-    return (
-        (count_real + 1) / (bundle.n_real + 1),
-        (count_all + 1) / (bundle.n_real + bundle.n_synth + 1),
-    )
+    order = np.argsort(bundle.test_scores)
+    queries = bundle.test_scores[order]
+    count_real = _count_at_least(bundle.real_scores, queries)
+    count_all = count_real + _count_at_least(bundle.synth_scores, queries)
+    p_real = np.empty(bundle.n_test)
+    p_merged = np.empty(bundle.n_test)
+    p_real[order] = (count_real + 1) / (bundle.n_real + 1)
+    p_merged[order] = (count_all + 1) / (bundle.n_real + bundle.n_synth + 1)
+    return p_real, p_merged
 
 
 def conformal_pvalues(real_scores, test_scores) -> np.ndarray:
@@ -177,6 +188,10 @@ def trim_by_score(synth_scores, rho: float) -> np.ndarray:
     dropped first.  The ceiling is evaluated with a small backoff so that
     a product like ``0.02 * 100`` that lands one ULP above an integer
     still trims exactly that integer count.
+
+    No sort is made: the smallest dropped score t is found by selection
+    (``np.partition``), every score below t is kept, and of the scores
+    equal to t the earliest are kept, as many as the kept count needs.
     """
     if isinstance(rho, float) and not math.isfinite(rho):
         raise ValueError(f"rho must be finite, got {rho!r}")
@@ -186,9 +201,11 @@ def trim_by_score(synth_scores, rho: float) -> np.ndarray:
     n_trim = max(0, math.ceil(rho * scores.size - 1e-9))
     if n_trim == 0:
         return scores.copy()
-    by_score_desc = np.lexsort((-np.arange(scores.size), -scores))
-    keep = np.ones(scores.size, dtype=bool)
-    keep[by_score_desc[:n_trim]] = False
+    n_keep = scores.size - n_trim
+    boundary = np.partition(scores, n_keep)[n_keep]
+    keep = scores < boundary
+    tied = scores == boundary
+    keep |= tied & (np.cumsum(tied) <= n_keep - np.count_nonzero(keep))
     return scores[keep]
 
 

@@ -7,11 +7,15 @@ fast path.
 
 :func:`render_floats` gives CPython's ``'%.17g'`` or ``repr`` text of a
 column as fixed-width cells: each value is scaled by a power of ten in
-double-double arithmetic and rounded to 17 digits (style ``r`` then drops
-digits while the shorter number still reads back).  A value goes to
-CPython's ``%``/``json.dumps`` when it is inf or nan, lies within 2**-20
-of a rounding tie or of a decade edge, or (style ``r``) is a power of
-two.
+double-double arithmetic and rounded to 17 digits.  Style ``r`` then
+takes the shortest digits in two steps: with 10**k the largest power of
+ten below the width of the read-back interval (in units of the 17th
+digit), the nearest multiple of 10**(k + 1) if it lies in the interval,
+else the nearest multiple of 10**k.  A value goes to CPython's
+``%``/``json.dumps`` when it is inf or nan, or lies within 2**-20 of a
+rounding tie or of a decade edge; in style ``r`` also when it is a power
+of two, when a candidate lies within 2**-20 of an end of the interval,
+or when neither candidate lies in it.
 
 :func:`parse_floats` gives ``float()`` of the cells ``data[starts[i]:ends[i]]``
 of a byte buffer, 8192 cells at a time, and makes no Python object for a
@@ -90,6 +94,9 @@ _P10 = 350
 _POW_HI, _POW_LO, _POW_TAIL, _POW_EXP = (
     np.array(column) for column in zip(*map(_pow10, range(-_P10, _P10 + 1))))
 _POW_BIG = _POW_HI + _POW_LO
+# 10**0 .. 10**17, as floats to compare with and as integers to round to.
+_TENS = 10.0 ** np.arange(18)
+_TENS_INT = 10 ** np.arange(18)
 
 
 # ---------------------------------------------------------------------------
@@ -106,14 +113,20 @@ def _decimal(a: np.ndarray, style: str):
     Each value is scaled by 10**(16 - exponent) in double-double arithmetic
     (error below 2**-47 on a result under 2**57) and rounded to an integer
     of 17 digits; zero is the integer 0 at exponent 0.  Style ``"r"`` then
-    keeps the fewest leading digits that still read back as the value,
-    trying one digit fewer while that holds: a double's rounding interval
-    is symmetric unless it is a power of two, so the nearest shorter
-    number is the one to try.  A value is flagged when it is not finite,
-    when a rounding or read-back decision lies within _NEAR of a tie, when
-    its scaled value lies within _NEAR (relative) of 10**16 or 10**17, or,
-    in style ``"r"``, when it is a power of two or still shortens after
-    most of its chunk has stopped.
+    keeps the fewest leading digits that still read back as the value.
+    A double's read-back interval is symmetric unless it is a power of
+    two, with half-width ``half`` in units of the last digit.  With
+    10**low < 2 * half <= 10**(low + 1), the interval holds a multiple of
+    10**low and at most one multiple of 10**(low + 1), and a multiple of
+    any higher power in it is that one.  So the nearest multiple of
+    10**(low + 1) is the answer if it lies in the interval, and the nearest
+    multiple of 10**low otherwise; ``render_floats`` drops any further
+    trailing zeros.  ``low`` comes from comparing 2 * half with the powers
+    of ten, not from a logarithm.  A value is flagged when it is not
+    finite, when a rounding or read-back decision lies within _NEAR of a
+    tie, when its scaled value lies within _NEAR (relative) of 10**16 or
+    10**17, or, in style ``"r"``, when it is a power of two or neither
+    candidate is found in its interval.
 
     Every array here has a whole chunk's length or at least 1024 bytes:
     numpy keeps freed arrays under 1024 bytes for reuse, and such an array
@@ -151,21 +164,30 @@ def _decimal(a: np.ndarray, style: str):
         return digits, exponent, fallback
     # Half the gap to the neighbouring doubles, in units of the last digit.
     half = np.ldexp(big, (shift + np.maximum(e2 - 53, -1074) - 1).astype(np.int32))
+    # 10**low < 2 * half <= 10**(low + 1): the read-back interval holds a
+    # multiple of 10**low and at most one of 10**(low + 1).
+    low = np.searchsorted(_TENS, 2 * half) - 1
+    tolerance = _NEAR + half * 2.0 ** -40
+    frac *= 2  # twice the fraction from here on
     shorter = positive & ~fallback
-    for places in range(1, 17):
-        step = 10 ** places
+    for places in (np.minimum(low + 1, 16), low):
+        step = _TENS_INT.take(places)
         q, r = np.divmod(whole, step)
-        twice = (2 * r - step) + 2 * frac
-        up = twice > 0
-        dist = np.where(up, (step - r) - frac, r + frac)
-        unsure = shorter & ((np.abs(twice) < 2 * _NEAR)
-                            | (np.abs(dist - half) < _NEAR + half * 2.0 ** -40))
+        # Twice the offset from the midpoint between two multiples of step,
+        # and the distance to the nearer multiple.
+        twice = (2 * r - step) + frac
+        size = np.abs(twice)
+        dist = (step - size) * 0.5
+        unsure = shorter & ((size < 2 * _NEAR) | (np.abs(dist - half) < tolerance))
         fallback |= unsure
-        shorter &= (dist < half) & ~unsure
-        np.copyto(digits, (q + up) * step, where=shorter)
-        if np.count_nonzero(shorter) < 16:
-            fallback |= shorter
-            break
+        shorter ^= unsure
+        found = shorter & (dist < half)
+        shorter ^= found
+        q += twice > 0
+        q *= step
+        digits = np.where(found, q, digits)
+    # Neither candidate in the interval: possible only through an error in half.
+    fallback |= shorter
     # A shortest form of 10**17 (a subnormal rounding up) is 10**16 one decade higher.
     carry = digits >= 10 ** 17
     return np.where(carry, digits // 10, digits), exponent + carry, fallback

@@ -48,7 +48,21 @@ def hard_values(rng, n):
                   2.2250738585072014e-308, 2.225073858507201e-308, 1.7976931348623157e308,
                   1e16, 1e17, 9007199254740993.0, 0.1, 0.5, 1.0, 100.0, 1e-4, 1e-5, 1e15,
                   123456789012345680.0, 0.3, 2.0 / 3.0]),
+        # Short decimals k / 10**j, whose repr drops many digits.
+        rng.integers(-10 ** 6, 10 ** 6, n // 4) / 10.0 ** rng.integers(0, 7, n // 4),
     ]
+    # Values of 1-15 repr digits and their neighbours on both sides.
+    short = np.array([float(f"{v:.{d}g}") for d in range(1, 16) for v in
+                      (rng.random(n // 60) * 10.0 ** rng.integers(-20, 21, n // 60)).tolist()])
+    parts += [short, np.nextafter(short, np.inf), np.nextafter(short, -np.inf)]
+    # Where the read-back interval is exactly 10 units of the 17th digit
+    # (doubles in [2**52, 2**53) at or above 10**15), and subnormals around
+    # each decade, where the interval is widest.
+    wide = rng.integers(10 ** 15, 2 ** 53, n // 8).astype(np.float64)
+    decade = np.round(10.0 ** np.arange(-323, -307) / 5e-324).astype(np.int64)
+    subnormal = (decade[:, None] + np.arange(-3, 4)).ravel()
+    subnormal = np.concatenate([subnormal, np.arange(1, 4097)]).astype(np.int64)
+    parts += [wide, wide + 1, np.frombuffer(subnormal.tobytes(), np.float64)]
     return np.concatenate(parts)
 
 
@@ -91,6 +105,36 @@ def test_render_floats_takes_an_empty_array():
 def test_integer_columns_match_str(tmp_path, dtype):
     info = np.iinfo(dtype)
     values = np.array([0, 1, 9, 10, info.min, info.max, info.min + 1, info.max - 1], dtype)
+    out = tmp_path / "t.csv"
+    write_table(str(out), {"k": values}, "csv", {})
+    assert out.read_text() == "".join(f"{v}\n" for v in ["k"] + values.tolist())
+    out = tmp_path / "t.json"
+    write_table(str(out), {"k": values}, "json", {"rows": ROWS})
+    assert out.read_text() == json.dumps({"rows": [{"k": v} for v in values.tolist()]},
+                                         indent=2) + "\n"
+
+
+def integer_edges() -> list[int]:
+    """Values at every digit count's edge, at the kernel's 10**16 limit and at the dtype limits."""
+    values = []
+    for k in range(19):
+        values += [10 ** k - 1, 10 ** k, -(10 ** k - 1), -(10 ** k)]
+    return values + [10 ** 16 - 1, 10 ** 16, -(10 ** 16 - 1), -(10 ** 16)]
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.uint64, np.int32, np.uint16])
+@pytest.mark.parametrize("size", [100, 10_000])
+def test_integer_columns_match_str_at_digit_edges(tmp_path, dtype, size):
+    info = np.iinfo(dtype)
+    edges = [v for v in integer_edges() if info.min <= v <= info.max] + [info.min, info.max]
+    rng = np.random.default_rng(size)
+    # Random magnitudes of every digit count; 10_000 rows cross _CHUNK_ROWS.
+    bits = rng.integers(0, min(info.bits - (info.kind == "i"), 62) + 1, size)
+    mixed = rng.integers(0, 2 ** 62, size) >> (62 - bits)
+    if info.kind == "i":
+        mixed *= rng.choice([-1, 1], size)
+    values = np.concatenate([np.array(edges, dtype), mixed.astype(dtype)])
+    rng.shuffle(values)
     out = tmp_path / "t.csv"
     write_table(str(out), {"k": values}, "csv", {})
     assert out.read_text() == "".join(f"{v}\n" for v in ["k"] + values.tolist())
