@@ -1,4 +1,4 @@
-"""Float64 columns to and from decimal text, a whole column at a time.
+"""Number columns to and from decimal text, a whole column at a time.
 
 Both directions share one table of powers of ten and Dekker's
 double-double product, and both hand a value to CPython whenever the
@@ -16,6 +16,10 @@ else the nearest multiple of 10**k.  A value goes to CPython's
 rounding tie or of a decade edge; in style ``r`` also when it is a power
 of two, when a candidate lies within 2**-20 of an end of the interval,
 or when neither candidate lies in it.
+
+:func:`render_integers` gives ``str`` of an integer column as cells, from
+a table of the ASCII of every 4-digit group; a magnitude of 10**16 or
+more goes to ``str``.
 
 :func:`parse_floats` gives ``float()`` of the cells ``data[starts[i]:ends[i]]``
 of a byte buffer, 8192 cells at a time, and makes no Python object for a
@@ -100,10 +104,11 @@ _TENS_INT = 10 ** np.arange(18)
 
 
 # ---------------------------------------------------------------------------
-# Float text as cells.
+# Number text as cells.
 #
-# A value of n is an (n, 48) uint8 array of cells: the ASCII text of value
-# i is row i of the array with every GAP cell removed.
+# A column of n floats is an (n, 48) uint8 array of cells, n integers an
+# (n, w) one: the ASCII text of value i is row i of the array with every
+# GAP cell removed.
 # ---------------------------------------------------------------------------
 
 
@@ -242,6 +247,65 @@ def _groups(rest: np.ndarray) -> list[np.ndarray]:
         upper = np.floor(half / 1e4)
         out += [upper.astype(np.intp), (half - upper * 1e4).astype(np.intp)]
     return out
+
+
+def _integer_tables():
+    """Lookup tables of the 24 cells of an integer below 10**16 in magnitude.
+
+    The cells start as eight ``0`` cells and the four 4-digit groups of
+    the magnitude, so every cell holds a digit.  Returns the ASCII of each
+    group 0..9999 as one 32-bit word (the even cells of _SPACED), and by
+    (digits - 1) * 2 + negative the three 64-bit words that XOR the
+    leading zeros into gaps and the cell before the first digit into ``-``
+    or a gap.
+    """
+    cell = np.arange(24)
+    first = 24 - np.arange(1, 17)[:, None, None]
+    sign = np.array([GAP, ord("-")])[:, None]
+    masks = np.where(cell < first - 1, ord("0") ^ GAP,
+                     np.where(cell == first - 1, ord("0") ^ sign, 0))
+    digits = np.ascontiguousarray(_SPACED.view(np.uint8).reshape(10000, 8)[:, ::2])
+    return digits.view("<u4").ravel(), masks.astype(np.uint8).reshape(32, 24).view("<u8")
+
+
+_DIGITS4, _INTEGER_LEAD = _integer_tables()
+
+
+def render_integers(values: np.ndarray) -> np.ndarray:
+    """The cells of ``str(v)`` for each value of an integer array.
+
+    Returns an (n, w) uint8 array, w the length of the longest text; row i
+    without its 0xFF cells is the ASCII text of ``values[i]``.  Magnitudes
+    below 10**16 are cut into 4-digit groups and looked up; any other
+    value (int64's minimum among them) goes to ``str``.
+    """
+    if values.dtype == np.uint64:
+        big = values >= np.uint64(10 ** 16)
+    else:
+        values = values.astype(np.int64, copy=False)
+        big = (values >= 10 ** 16) | (values <= -10 ** 16)
+    small = np.where(big, 0, values).astype(np.int64, copy=False)
+    negative = small < 0
+    magnitude = np.abs(small)
+    words = np.empty((values.size, 6), "<u4")
+    words[:, :2] = _DIGITS4[0]
+    for k, group in enumerate(_groups(magnitude), start=2):
+        words[:, k] = _DIGITS4.take(group)
+    # Digits less one: how many of 10**1 .. 10**15 are at most the magnitude.
+    count = np.searchsorted(_TENS_INT[1:16], magnitude, side="right")
+    words.view("<u8")[...] ^= _INTEGER_LEAD.take(count * 2 + negative, axis=0)
+    cells = words.view(np.uint8)
+    width = int((count + negative).max(initial=0)) + 1
+    if big.any():
+        flat = memoryview(cells.reshape(-1))
+        flags = big.tobytes()
+        i = flags.find(1)
+        while i >= 0:
+            text = str(values.item(i)).encode()
+            width = max(width, len(text))
+            flat[24 * i:24 * i + 24] = text.rjust(24, b"\xff")
+            i = flags.find(1, i + 1)
+    return cells[:, 24 - width:]
 
 
 def render_floats(x, style: str) -> np.ndarray:

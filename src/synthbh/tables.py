@@ -28,10 +28,10 @@ CPython's digits for a whole column at once in double-double arithmetic
 and hands a value to CPython's own ``%``/``json.dumps`` when it is inf or
 nan, lies within 2**-20 of a rounding tie or of a decade edge, or (for
 JSON) is a power of two, so no output byte depends on the fast path.
-Integers below 10**16 in magnitude are cut into 4-digit groups and looked
-up in a table (:func:`_integer_cells`); larger ones and strings are
-converted one cell at a time.  Files are written to a temporary name and
-renamed into place once complete.
+Integers come from :func:`~synthbh.floattext.render_integers`, which
+looks up 4-digit groups and hands only magnitudes of 10**16 and above to
+``str``; strings are converted one cell at a time.  Files are written to
+a temporary name and renamed into place once complete.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .floattext import GAP, PAD, _groups, parse_floats, render_floats
+from .floattext import GAP, PAD, parse_floats, render_floats, render_integers
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -550,73 +550,13 @@ def _spread(data: np.ndarray, ends: np.ndarray) -> np.ndarray:
 _BOOL_CELLS = np.frombuffer(b"false" + b"true\xff", np.uint8).reshape(2, 5)
 
 
-def _integer_tables():
-    """Lookup tables of the 24 cells of an integer below 10**16 in magnitude.
-
-    The cells start as eight ``0`` cells and the four 4-digit groups of
-    the magnitude, so every cell holds a digit.  Returns the ASCII of each
-    group 0..9999 as one 32-bit word, and by (digits - 1) * 2 + negative
-    the three 64-bit words that XOR the leading zeros into gaps and the
-    cell before the first digit into ``-`` or a gap.  Built when the
-    module loads, like the float cell tables (see floattext._cell_tables).
-    """
-    group = np.arange(10000)
-    digits = np.stack([group // 10 ** k % 10 + ord("0") for k in (3, 2, 1, 0)], axis=1)
-    cell = np.arange(24)
-    first = 24 - np.arange(1, 17)[:, None, None]
-    sign = np.array([GAP, ord("-")])[:, None]
-    masks = np.where(cell < first - 1, ord("0") ^ GAP,
-                     np.where(cell == first - 1, ord("0") ^ sign, 0))
-    return (digits.astype(np.uint8).view("<u4").ravel(),
-            masks.astype(np.uint8).reshape(32, 24).view("<u8"))
-
-
-_DIGITS4, _INTEGER_LEAD = _integer_tables()
-# 10**1 .. 10**15: the count of these at or below a magnitude is its digits - 1.
-_DECADES = 10 ** np.arange(1, 16)
-
-
-def _integer_cells(values: np.ndarray) -> np.ndarray:
-    """The (n, w) cells of ``str(v)`` for each integer, w the widest text.
-
-    Magnitudes below 10**16 are cut into 4-digit groups and looked up;
-    any other value (int64's minimum among them) goes to ``str``.
-    """
-    if values.dtype == np.uint64:
-        big = values >= np.uint64(10 ** 16)
-    else:
-        values = values.astype(np.int64, copy=False)
-        big = (values >= 10 ** 16) | (values <= -10 ** 16)
-    small = np.where(big, 0, values).astype(np.int64, copy=False)
-    negative = small < 0
-    magnitude = np.abs(small)
-    words = np.empty((values.size, 6), "<u4")
-    words[:, :2] = _DIGITS4[0]
-    for k, group in enumerate(_groups(magnitude), start=2):
-        words[:, k] = _DIGITS4.take(group)
-    count = np.searchsorted(_DECADES, magnitude, side="right")
-    words.view("<u8")[...] ^= _INTEGER_LEAD.take(count * 2 + negative, axis=0)
-    cells = words.view(np.uint8)
-    width = int((count + negative).max(initial=0)) + 1
-    if big.any():
-        flat = memoryview(cells.reshape(-1))
-        flags = big.tobytes()
-        i = flags.find(1)
-        while i >= 0:
-            text = str(values.item(i)).encode()
-            width = max(width, len(text))
-            flat[24 * i:24 * i + 24] = text.rjust(24, b"\xff")
-            i = flags.find(1, i + 1)
-    return cells[:, 24 - width:]
-
-
 def _field(values, fmt: str):
     """One column slice as cells, or as (data, ends) of :func:`_string_cells`."""
     if isinstance(values, np.ndarray):
         if values.dtype == bool:
             return _BOOL_CELLS[values.view(np.uint8)]
         if values.dtype.kind in "iu":
-            return _integer_cells(values)
+            return render_integers(values)
         return render_floats(values, "g" if fmt == "csv" else "r")
     if fmt == "csv":
         return _string_cells(_quote_minimal(list(values)))
