@@ -34,9 +34,10 @@ from .conformal import JitterSpec, ScoreBundle, outlier_pvalues, trim_by_score
 from .simulate import OutlierConfig, SimConfig, run_bernoulli_experiment, \
     run_outlier_experiment
 from .stepup import StepUpConfig, synth_bh, weighted_synth_bh
-# EXIT_IO, EXIT_VALIDATION and read_result_table stay importable from here.
-from .tables import EXIT_IO, EXIT_OK, EXIT_VALIDATION, ROWS, CliError, read_pvalue_table, \
-    read_result_table, read_role_scores, read_single_column, write_json, write_table  # noqa: F401
+# EXIT_IO, EXIT_VALIDATION, read_pvalue_table and read_result_table stay importable from here.
+from .tables import EXIT_IO, EXIT_OK, EXIT_VALIDATION, ROWS, CliError, read_pvalue_cells, \
+    read_pvalue_table, read_result_table, read_role_scores, read_single_column, write_json, \
+    write_table  # noqa: F401
 
 NAIVE_BENCH_CAP = 20_000
 # Most points one --sweep range may expand to; each point is a whole experiment.
@@ -64,7 +65,7 @@ def _resolve_seed(seed: int | None) -> int:
 
 def cmd_test(args: argparse.Namespace) -> int:
     """Run the guarded step-up rule over a p-value table."""
-    ids, pairs, column_weights = read_pvalue_table(args.input)
+    ids, pairs, column_weights = read_pvalue_cells(args.input)
     weights = column_weights
     if args.weights_file is not None:
         if column_weights is not None:

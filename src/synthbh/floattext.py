@@ -6,7 +6,11 @@ fast answer could differ from CPython's, so no result depends on the
 fast path.
 
 :func:`render_floats` gives CPython's ``'%.17g'`` or ``repr`` text of a
-column as fixed-width cells: each value is scaled by a power of ten in
+column as 32 cells a value, four 64-bit words: the sign, a ``0.000``
+prefix, d0 and a point; d1..d16, looked up four at a time; the exponent.
+Where the prefix, the point and the dropped digits go follows from the
+decimal exponent and the digit count alone, through tables built when
+the module loads.  Each value is scaled by a power of ten in
 double-double arithmetic and rounded to 17 digits.  Style ``r`` then
 takes the shortest digits in two steps: with 10**k the largest power of
 ten below the width of the read-back interval (in units of the 17th
@@ -106,7 +110,7 @@ _TENS_INT = 10 ** np.arange(18)
 # ---------------------------------------------------------------------------
 # Number text as cells.
 #
-# A column of n floats is an (n, 48) uint8 array of cells, n integers an
+# A column of n floats is an (n, 32) uint8 array of cells, n integers an
 # (n, w) one: the ASCII text of value i is row i of the array with every
 # GAP cell removed.
 # ---------------------------------------------------------------------------
@@ -201,39 +205,78 @@ def _decimal(a: np.ndarray, style: str):
 def _cell_tables():
     """Lookup tables of the cell layout of a float.
 
-    A float's 48 cells are: sign, ``0``, ``.``, three zeros (the prefix of
-    ``0.000ddd``), then digits d0..d16 each followed by a cell for a
-    decimal point, then ``e``, the exponent's sign and its digits, padded
-    to six 64-bit words.  The tables are built when the module loads,
-    before any table is read: built during the first write, they stayed
-    above the freed input on the heap and raised the peak memory of later
-    runs in the same process.
+    A float's 32 cells are four 64-bit words.  Word 0 holds the sign,
+    ``0.`` and up to three zeros (the prefix of ``0.000ddd``), d0 and a
+    cell for a point after it; words 1 and 2 hold d1..d16; word 3 holds
+    ``e``, the exponent's sign and its digits.  In fixed notation with the
+    point after digit k >= 1, the digits after it sit one cell to the
+    right, and d16 in the first cell of word 3, which fixed notation
+    leaves empty.  The tables are built when the module loads, before any
+    table is read: built during the first write, they stayed above the
+    freed input on the heap and raised the peak memory of later runs in
+    the same process.
+
+    Returns the ASCII of each 4-digit group 0..9999 as one little-endian
+    word, first digit first; the trailing zeros of each group; the cell
+    masks of words 0..3 by (zeros after ``0.``, digits kept, point after
+    digit): the prefix, gaps for dropped digits and unused cells, ``.``
+    for the point, zero for the sign and the digits; and word 0 by
+    10 * negative + d0: the sign or a gap, and d0.
     """
-    group = np.arange(10000, dtype=np.uint64)
-    chars = [group // 10 ** k % 10 + 48 for k in (3, 2, 1, 0)]
-    # Four digits in the even cells of a word, for d1..d16.
-    spaced = chars[0] | chars[1] << 16 | chars[2] << 32 | chars[3] << 48
+    group = np.arange(10000, dtype=np.uint32)
+    digits = sum((group // 10 ** (3 - j) % 10 + 48) << (8 * j) for j in range(4))
     zeros = sum((group % (10 * k) == 0).astype(np.int64) for k in (1, 10, 100, 1000))
-    # Words 0..4 by (digits kept, point after digit): gaps for dropped
-    # digits and unused points, ``.`` for the point, zero elsewhere.
-    masks = np.zeros((18, 17, 40), np.uint8)
-    digit = np.arange(17)
-    masks[:, :, 6::2] = np.where(digit < np.arange(18)[:, None, None], 0, GAP)
-    masks[:, :, 7::2] = np.where(digit == np.arange(-1, 16)[:, None], ord("."), GAP)
-    masks = masks.reshape(18 * 17, 40).view("<u8")
-    # Cells 0..7 by sign and by zeros after ``0.`` (none, or 0-3); the
-    # last two, d0 and its point, stay zero.
-    prefix = b""
-    for sign in (b"\xff", b"-"):
-        for lead in (b"", b"0.", b"0.0", b"0.00", b"0.000"):
-            prefix += sign + lead.ljust(5, b"\xff") + b"\0\0"
-    # Cells 40..47 by exponent (-324..308), then all gaps.
-    suffix = b"".join(f"e{e:+03d}".encode().ljust(8, b"\xff") for e in range(-324, 309))
-    return (spaced, zeros, masks, np.frombuffer(prefix, "<u8"),
-            np.frombuffer(suffix + b"\xff" * 8, "<u8"))
+    masks = np.full((5, 18, 17, 32), GAP, np.uint8)
+    for lead, text in enumerate((b"", b"0.", b"0.0", b"0.00", b"0.000")):
+        masks[lead, :, :, :7] = np.frombuffer(b"\0" + text.ljust(5, b"\xff") + b"\0", np.uint8)
+    for keep in range(18):
+        for dot in range(-1, 16):
+            cells = masks[:, keep, dot + 1]
+            if dot == 0:
+                cells[:, 7] = ord(".")
+            elif dot > 0:
+                cells[:, 8 + dot] = ord(".")
+            for j in range(1, keep):
+                cells[:, 7 + j + (0 < dot < j)] = 0
+    first = [(sign | (48 + d) << 48) for sign in (GAP, ord("-")) for d in range(10)]
+    return digits, zeros, masks.reshape(-1, 32).view("<u8"), np.array(first, np.uint64)
 
 
-_SPACED, _ZEROS, _MASKS, _PREFIX, _SUFFIX = _cell_tables()
+_DIGITS4, _ZEROS, _MASKS, _SIGN_DIGIT = _cell_tables()
+# The cells of d1..d16 below cell k, k = 0..16, as (word 1, word 2) masks.
+_BELOW_LOW = np.array([(1 << 8 * min(k, 8)) - 1 for k in range(17)], np.uint64)
+_BELOW_HIGH = np.array([(1 << 8 * max(k - 8, 0)) - 1 for k in range(17)], np.uint64)
+
+
+def _layout_tables(style: str):
+    """The layout of a float's text in ``style`` by (exponent + 324) * 18 + digits.
+
+    Returns the row of _MASKS, the cell among d1..d16 that the point
+    follows (16: none, or after d0), and by exponent + 324 word 3: the
+    exponent's text, or all gaps in fixed notation.  Style ``g`` writes
+    exponents -4..16 in fixed notation and style ``r`` -4..15; ``'%.17g'``
+    drops a point with nothing after it, and repr writes ``.0``.
+    """
+    exponents = range(-324, 309)
+    last = 16 if style == "g" else 15
+    exponent = np.array(exponents)[:, None]
+    n = np.arange(18)
+    small = exponent < 0
+    fixed = (exponent >= -4) & (exponent <= last)
+    # Digits printed, and the digit the point follows (-1: no point).
+    whole = exponent + (1 if style == "g" else 2)
+    keep = np.where(small | ~fixed, n, np.maximum(n, whole))
+    point = exponent if style == "r" else np.where(n > whole, exponent, -1)
+    dot = np.where(fixed, np.where(small, -1, point), np.where(n > 1, 0, -1))
+    lead = np.where(small & fixed, -exponent, 0)
+    rows = (lead * 18 + keep) * 17 + dot + 1
+    suffix = b"".join(b"\xff" * 8 if -4 <= e <= last else f"e{e:+03d}".encode().ljust(8, b"\xff")
+                      for e in exponents)
+    return (rows.astype(np.int16).ravel(), np.where(dot > 0, dot, 16).astype(np.int8).ravel(),
+            np.frombuffer(suffix, "<u8"))
+
+
+_LAYOUT = {style: _layout_tables(style) for style in "gr"}
 
 
 def _groups(rest: np.ndarray) -> list[np.ndarray]:
@@ -253,22 +296,20 @@ def _integer_tables():
     """Lookup tables of the 24 cells of an integer below 10**16 in magnitude.
 
     The cells start as eight ``0`` cells and the four 4-digit groups of
-    the magnitude, so every cell holds a digit.  Returns the ASCII of each
-    group 0..9999 as one 32-bit word (the even cells of _SPACED), and by
+    the magnitude (_DIGITS4), so every cell holds a digit.  Returns by
     (digits - 1) * 2 + negative the three 64-bit words that XOR the
-    leading zeros into gaps and the cell before the first digit into ``-``
-    or a gap.
+    leading zeros into gaps and the cell before the first digit into
+    ``-`` or a gap.
     """
     cell = np.arange(24)
     first = 24 - np.arange(1, 17)[:, None, None]
     sign = np.array([GAP, ord("-")])[:, None]
     masks = np.where(cell < first - 1, ord("0") ^ GAP,
                      np.where(cell == first - 1, ord("0") ^ sign, 0))
-    digits = np.ascontiguousarray(_SPACED.view(np.uint8).reshape(10000, 8)[:, ::2])
-    return digits.view("<u4").ravel(), masks.astype(np.uint8).reshape(32, 24).view("<u8")
+    return masks.astype(np.uint8).reshape(32, 24).view("<u8")
 
 
-_DIGITS4, _INTEGER_LEAD = _integer_tables()
+_INTEGER_LEAD = _integer_tables()
 
 
 def render_integers(values: np.ndarray) -> np.ndarray:
@@ -312,43 +353,49 @@ def render_floats(x, style: str) -> np.ndarray:
     """The cells of CPython's text of each value of a float array.
 
     Style ``"g"`` gives ``'%.17g' % v`` and style ``"r"`` ``json.dumps(v)``,
-    which is ``repr(v)`` for a finite value.  Returns an (n, 48) uint8
+    which is ``repr(v)`` for a finite value.  Returns an (n, 32) uint8
     array; row i without its 0xFF cells is the ASCII text of ``x[i]``.
     Values that :func:`_decimal` flags are formatted by CPython, each
     distinct one once per call, so no output byte depends on the fast path.
     """
     x = np.asarray(x, dtype=np.float64).ravel()
     if not x.size:
-        return np.empty((0, 48), np.uint8)
+        return np.empty((0, 32), np.uint8)
     digits, exponent, fallback = _decimal(np.abs(x), style)
     digits[fallback] = 10 ** 16
     top = digits // 10 ** 16
     groups = _groups(digits - top * 10 ** 16)
     # Significant digits: 17 less the trailing zeros.
-    trailing = _ZEROS.take(groups[3])
+    n = 17 - _ZEROS.take(groups[3])
     run = groups[3] == 0
     for group in groups[2::-1]:
         if not run.any():
             break
-        trailing += run * _ZEROS.take(group)
+        n -= run * _ZEROS.take(group)
         run &= group == 0
-    n = 17 - trailing
-    small = exponent < 0
-    fixed = (exponent >= -4) & (exponent < (17 if style == "g" else 16))
-    # Digits printed, and the digit the point follows (-1: no point).
-    # '%.17g' drops a point with nothing after it; repr writes ".0".
-    whole = exponent + (1 if style == "g" else 2)
-    keep = np.where(small | ~fixed, n, np.maximum(n, whole))
-    point = exponent if style == "r" else np.where(n > whole, exponent, -1)
-    dot = np.where(fixed, np.where(small, -1, point), np.where(n > 1, 0, -1))
-    words = np.empty((x.size, 6), "<u8")
-    words[:, :5] = _MASKS.take(keep * 17 + dot + 1, axis=0)
-    for k, group in enumerate(groups, start=1):
-        words[:, k] |= _SPACED.take(group)
-    neg = np.signbit(x).astype(np.intp)
-    words[:, 0] |= _PREFIX.take(neg * 5 + np.where(small & fixed, -exponent, 0))
-    words[:, 0] |= (top + 48).astype("<u8") << np.uint64(48)
-    words[:, 5] = _SUFFIX.take(np.where(fixed, 633, exponent + 324))
+    rows, below, suffix = _LAYOUT[style]
+    exponent += 324
+    layout = exponent * 18 + n
+    words = np.empty((x.size, 4), "<u8")
+    # Word 0: the sign cell and d0; words 1 and 2: d1..d16.
+    words[:, 0] = _SIGN_DIGIT.take(top + 10 * np.signbit(x))
+    quads = words.view("<u4")
+    for k, group in enumerate(groups, start=2):
+        quads[:, k] = _DIGITS4.take(group)
+    words[:, 3] = 0
+    below = below.take(layout)
+    if below.min() < 16:
+        # The digits after a point at d_k, k >= 1, move one cell right.
+        low, high = _BELOW_LOW.take(below), _BELOW_HIGH.take(below)
+        moved_low = words[:, 1] & ~low
+        moved_high = words[:, 2] & ~high
+        words[:, 1] &= low
+        words[:, 1] |= moved_low << np.uint64(8)
+        words[:, 2] &= high
+        words[:, 2] |= (moved_high << np.uint64(8)) | (moved_low >> np.uint64(56))
+        words[:, 3] = moved_high >> np.uint64(56)
+    words |= _MASKS.take(rows.take(layout), axis=0)
+    words[:, 3] &= suffix.take(exponent)
     cells = words.view(np.uint8)
     if fallback.any():
         # Row by row, with no small arrays (see _decimal).
@@ -361,8 +408,8 @@ def render_floats(x, style: str) -> np.ndarray:
         while i >= 0:
             key = bits.item(i)
             if key not in texts:
-                texts[key] = fmt(x.item(i)).encode().ljust(48, b"\xff")
-            flat[48 * i:48 * i + 48] = texts[key]
+                texts[key] = fmt(x.item(i)).encode().ljust(32, b"\xff")
+            flat[32 * i:32 * i + 32] = texts[key]
             i = flags.find(1, i + 1)
     return cells
 

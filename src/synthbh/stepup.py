@@ -291,13 +291,16 @@ def stepup_rows(values: np.ndarray, thresholds: np.ndarray) -> tuple[np.ndarray,
     ``value <= alpha * k / m``.  Returns ``k_star`` (0 where nothing
     passes) and the (T, m) rejection masks.  A value above the largest
     threshold can never pass, so the comparison stops at the first column
-    whose smallest entry is above it.
+    whose smallest entry is above it, and is not made at all when that is
+    the first column.
     """
     ordered = np.sort(values, axis=1)
     rows = ordered.shape[0]
     # Rows ascend, so their column-wise minimum ascends too.
     lowest = ordered[0] if rows == 1 else ordered.min(axis=0)
     limit = int(lowest.searchsorted(thresholds[-1], side="right"))
+    if not limit:
+        return np.zeros(rows, np.intp), np.zeros(values.shape, bool)
     # Column k tells whether rank k passes; rank 0 always does, so that
     # each row's largest passing rank is the last True.
     passing = np.ones((rows, limit + 1), dtype=bool)

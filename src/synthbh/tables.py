@@ -2,36 +2,41 @@
 
 The three readers share one column reader, :func:`_read_columns`.  It
 reads the file as bytes into a buffer padded on both sides, so that the
-float kernel may read past either end.  A plain file (ASCII, no quote, no
-NUL, every carriage return just before a line feed, the same number of
-fields on every line, no blank line; see :func:`_plain_header` and
-:func:`_cut`) is cut with numpy: every separator is found at once, and
-each column becomes two arrays, where its cells start and end.  Ids are
-gathered into one buffer and split once, roles are matched on their
-bytes, and floats are parsed from the bytes by
+float kernel may read past either end, and skips a leading UTF-8
+byte-order mark.  A plain file (ASCII, no quote, no NUL, every carriage
+return just before a line feed, the same number of fields on every line,
+no blank line; see :func:`_plain_header` and :func:`_cut`) is cut with
+numpy: every separator is found at once, and each column becomes two
+arrays, where its cells start and end.  Ids are gathered into one buffer
+and kept as bytes (:class:`TextCells`) all the way to the writer, roles
+are matched on their bytes, and floats are parsed from the bytes by
 :func:`~synthbh.floattext.parse_floats`, so no Python object is made per
-float cell.  Any other file goes through the csv module, which gives the
-same cells on a plain file.  Each column is converted and checked as a
-whole, with one pass per column kind.  Only when a column fails, or a
-record has the wrong number of fields, are the rows walked in order, one
-cell at a time, to raise the first diagnostic.
+cell.  Any other file goes through the csv module, which gives the same
+cells on a plain file.  Each column is converted and checked as a whole,
+with one pass per column kind.  Only when a column fails, or a record has
+the wrong number of fields, are the rows walked in order, one cell at a
+time, to raise the first diagnostic.
 
 :func:`write_table` writes exactly the bytes ``csv.writer`` and
 ``json.dump(..., indent=2)`` would, except that a CSV field holding a
-carriage return is quoted.  It builds each chunk of rows as one byte
-buffer: every field is an array of cells, the constant CSV or JSON text
-between fields is a column of cells, and unused cells hold 0xFF, a byte
-no UTF-8 text contains, so one ``bytes.translate`` drops them whatever
-an id holds.  Floats come from
-:func:`~synthbh.floattext.render_floats`, which gives
-CPython's digits for a whole column at once in double-double arithmetic
-and hands a value to CPython's own ``%``/``json.dumps`` when it is inf or
-nan, lies within 2**-20 of a rounding tie or of a decade edge, or (for
-JSON) is a power of two, so no output byte depends on the fast path.
-Integers come from :func:`~synthbh.floattext.render_integers`, which
-looks up 4-digit groups and hands only magnitudes of 10**16 and above to
-``str``; strings are converted one cell at a time.  Files are written to
-a temporary name and renamed into place once complete.
+carriage return is quoted.  It builds each block of rows in one byte
+buffer, laid out by column: every field writes its cells into its own
+columns, each constant piece of CSV or JSON text between fields is one
+assignment, and unused cells hold 0xFF, a byte no UTF-8 text holds, so
+one ``bytes.translate`` drops them whatever an id holds.  Floats come
+from :func:`~synthbh.floattext.render_floats`, 32 cells a value, which
+gives CPython's digits for a whole column at once in double-double
+arithmetic and hands a value to CPython's own ``%``/``json.dumps`` when
+it is inf or nan, lies within 2**-20 of a rounding tie or of a decade
+edge, or (for JSON) is a power of two, so no output byte depends on the
+fast path.  Integers come from
+:func:`~synthbh.floattext.render_integers`, which looks up 4-digit groups
+and hands only magnitudes of 10**16 and above to ``str``.  Ids read from
+a plain file are written as they were read: they never need CSV quotes,
+and JSON only needs quotes around them unless a chunk holds a byte that
+JSON escapes.  A list of strings is joined and encoded once per chunk.
+Files are written to a temporary name and renamed into place once
+complete.
 """
 
 from __future__ import annotations
@@ -68,6 +73,45 @@ class CliError(Exception):
 
 def _fmt_float(x) -> str:
     return format(float(x), ".17g")
+
+
+class TextCells:
+    """A column of texts kept as bytes: each text's bytes, then a GAP byte.
+
+    ``data`` is a uint8 array and ``ends[i]`` the index in it of the GAP
+    after text i.  The reader makes one from the id column of a plain file,
+    so its texts are ASCII and hold no quote, comma, carriage return, line
+    feed or NUL; the writer lays the bytes out as they are.  Supports
+    ``len`` and slicing by a range of rows.
+    """
+
+    __slots__ = ("data", "ends")
+
+    def __init__(self, data: np.ndarray, ends: np.ndarray) -> None:
+        self.data = data
+        self.ends = ends
+
+    def __len__(self) -> int:
+        return self.ends.size
+
+    def __getitem__(self, rows: slice) -> TextCells:
+        start, stop, _ = rows.indices(len(self))
+        first = int(self.ends[start - 1]) + 1 if start else 0
+        ends = self.ends[start:max(start, stop)] - first
+        return TextCells(self.data[first:first + (int(ends[-1]) + 1 if ends.size else 0)], ends)
+
+    def starts(self) -> np.ndarray:
+        """Where each text starts in ``data``."""
+        starts = np.empty_like(self.ends)
+        starts[:1] = 0
+        np.add(self.ends[:-1], 1, out=starts[1:])
+        return starts
+
+    def tolist(self) -> list[str]:
+        """The texts as strings."""
+        texts = self.data.tobytes().translate(_GAP_TO_LINE_FEED).decode("ascii").split("\n")
+        texts.pop()
+        return texts
 
 
 # ---------------------------------------------------------------------------
@@ -142,8 +186,8 @@ def _records(path: str, body: str) -> list[list[str]]:
     return rows
 
 
-def _plain_header(data: bytearray, end: int) -> tuple[list[str], int] | None:
-    """The stripped header of a plain file and where its body starts, or None.
+def _plain_header(data: bytearray, begin: int, end: int) -> tuple[list[str], int] | None:
+    """The stripped header of the plain file ``data[begin:end]`` and where its body starts, or None.
 
     A file is plain when it is ASCII and holds no quote and no NUL, and
     its header line holds no carriage return but one just before its line
@@ -151,11 +195,11 @@ def _plain_header(data: bytearray, end: int) -> tuple[list[str], int] | None:
     carriage return and line feed as one line end, so the header is that
     line split at commas.
     """
-    if not data.isascii() or data.find(b'"', PAD, end) >= 0 or data.find(b"\0", PAD, end) >= 0:
+    if not data.isascii() or data.find(b'"', begin, end) >= 0 or data.find(b"\0", begin, end) >= 0:
         return None
-    stop = data.find(b"\n", PAD, end)
+    stop = data.find(b"\n", begin, end)
     stop = end if stop < 0 else stop
-    line = data[PAD:stop]
+    line = data[begin:stop]
     if line.endswith(b"\r") and stop < end:
         del line[-1]
     if b"\r" in line or len(line) > csv.field_size_limit():
@@ -198,11 +242,12 @@ def _cut(data: bytearray, start: int, end: int, width: int) -> list | None:
     line_starts[1:] = line_ends[:-1] + 1
     if (line_ends - line_starts).max() > csv.field_size_limit():
         return None
-    crlf = u8.take(line_ends - 1) == ord("\r")
-    if data.find(b"\r", start, end) >= 0 and np.count_nonzero(
-            body == ord("\r")) != np.count_nonzero(crlf):
-        return None
-    last = line_ends - crlf
+    last = line_ends
+    if data.find(b"\r", start, end) >= 0:
+        crlf = u8.take(line_ends - 1) == ord("\r")
+        if np.count_nonzero(body == ord("\r")) != np.count_nonzero(crlf):
+            return None
+        last = line_ends - crlf
     if width == 1 and (last == line_starts).any():
         return None
     starts = [line_starts] + [seps[k::width] + 1 for k in range(width - 1)]
@@ -218,8 +263,10 @@ _ROLES = ("real", "synth", "test")
 _ROLE_WORDS = [np.uint64(int.from_bytes(role.encode(), "little")) for role in _ROLES]
 _FIRST_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], np.uint64)
 _TEXT_ROWS = 8192
-# Turns the byte after each gathered cell into a line feed.
-_TO_LINE_FEED = bytes.maketrans(b",\r", b"\n\n")
+_GAP_TO_LINE_FEED = bytes.maketrans(b"\xff", b"\n")
+_LINE_FEED_TO_GAP = bytes.maketrans(b"\n", b"\xff")
+# The UTF-8 byte-order mark, which a file may start with.
+_BOM = b"\xef\xbb\xbf"
 
 
 def _checked(kind: str, x: np.ndarray):
@@ -250,17 +297,17 @@ def _convert(kind: str, cells: list[str]):
     return _checked(kind, x)
 
 
-def _texts(data: bytearray, starts: np.ndarray, ends: np.ndarray) -> list[str]:
-    """The cells ``data[starts[i]:ends[i]]`` of a plain body as strings.
+def _texts(data: bytearray, starts: np.ndarray, ends: np.ndarray) -> TextCells:
+    """The cells ``data[starts[i]:ends[i]]`` of a plain body as TextCells.
 
     Each cell is gathered with the separator that follows it, _TEXT_ROWS
-    cells at a time, into one buffer that one translate, decode and split
-    turn into the strings.
+    cells at a time, into one buffer, and each separator becomes a GAP.
     """
     u8 = np.frombuffer(data, np.uint8)
     counts = ends - starts + 1
-    out = bytearray(int(counts.sum()))
-    view = np.frombuffer(out, np.uint8)
+    gaps = np.cumsum(counts)
+    out = np.empty(int(gaps[-1]) if gaps.size else 0, np.uint8)
+    gaps -= 1
     done = 0
     for first in range(0, counts.size, _TEXT_ROWS):
         count = counts[first:first + _TEXT_ROWS]
@@ -268,12 +315,10 @@ def _texts(data: bytearray, starts: np.ndarray, ends: np.ndarray) -> list[str]:
         total = int(offsets[-1])
         offsets += done - count
         u8.take(np.repeat(starts[first:first + _TEXT_ROWS] - offsets, count)
-                + np.arange(done, done + total), out=view[done:done + total])
+                + np.arange(done, done + total), out=out[done:done + total])
         done += total
-    del view
-    cells = out.translate(_TO_LINE_FEED).decode("ascii").split("\n")
-    cells.pop()
-    return cells
+    out[gaps] = GAP
+    return TextCells(out, gaps)
 
 
 def _role_codes(data: bytearray, starts: np.ndarray, ends: np.ndarray):
@@ -295,7 +340,7 @@ def _convert_cut(kind: str, data: bytearray, starts: np.ndarray, ends: np.ndarra
         return _texts(data, starts, ends)
     if kind == "role":
         codes = _role_codes(data, starts, ends)
-        return _convert(kind, _texts(data, starts, ends)) if codes is None else codes
+        return _convert(kind, _texts(data, starts, ends).tolist()) if codes is None else codes
     x = parse_floats(data, starts, ends)
     return None if x is None else _checked(kind, x)
 
@@ -325,20 +370,26 @@ def _read_columns(path: str, headers: Sequence[list[str]], expected: str,
 
     The stripped header must be one of ``headers`` (``expected`` spells
     them in the diagnostic); column k of a header has kind ``kinds[k]``.
-    A plain file (see :func:`_plain_header` and :func:`_cut`) is cut into
-    columns of byte ranges; any other goes through the csv module.  Each
+    A UTF-8 byte-order mark at the start of the file is skipped.  A plain
+    file (see :func:`_plain_header` and :func:`_cut`) is cut into columns
+    of byte ranges, and its text columns come back as TextCells; any other
+    goes through the csv module, and its text columns as lists.  Each
     column is converted and checked as a whole.  Only when one fails, or a
     record has the wrong number of fields, are the rows walked in order,
     to raise the first diagnostic: a bad cell before the first bad record,
     in column order within its row, or else that record.
     """
     data, size = _read_bytes(path)
-    end = PAD + size
-    if not size:
+    begin, end = PAD, PAD + size
+    if data.startswith(_BOM, begin):
+        # Zeros, as in the padding, so that the rest may still be plain.
+        data[begin:begin + len(_BOM)] = bytes(len(_BOM))
+        begin += len(_BOM)
+    if begin == end:
         raise CliError(f"{path}: empty file")
-    plain = _plain_header(data, end)
+    plain = _plain_header(data, begin, end)
     if plain is None:
-        header, body = _read_text(path, data[PAD:end])
+        header, body = _read_text(path, data[begin:end])
     else:
         header, start = plain
     if header not in headers:
@@ -379,18 +430,29 @@ def _read_columns(path: str, headers: Sequence[list[str]], expected: str,
     raise CliError(f"{path}: {ragged}")
 
 
-def read_pvalue_table(path: str):
-    """Read ``id,p_real,p_synth[,weight]`` rows.
+def read_pvalue_cells(path: str):
+    """Read ``id,p_real,p_synth[,weight]`` rows, the ids as the reader has them.
 
-    Returns (ids, pairs array of shape (m, 2), weights array or None).
+    Returns (ids, pairs array of shape (m, 2), weights array or None); the
+    ids are TextCells for a plain file and a list of strings otherwise.
     """
     required = ["id", "p_real", "p_synth"]
     ids, p, q, *w = _read_columns(path, (required, required + ["weight"]),
                                   "id,p_real,p_synth[,weight]",
                                   ("text", "probability", "probability", "weight"))
-    if not ids:
+    if not len(ids):
         raise CliError(f"{path}: no data rows")
     return ids, np.column_stack((p, q)), (w[0] if w else None)
+
+
+def read_pvalue_table(path: str):
+    """Read ``id,p_real,p_synth[,weight]`` rows.
+
+    Returns (ids as a list of strings, pairs array of shape (m, 2), weights
+    array or None).
+    """
+    ids, pairs, weights = read_pvalue_cells(path)
+    return (ids.tolist() if isinstance(ids, TextCells) else ids), pairs, weights
 
 
 def read_single_column(path: str, column: str) -> np.ndarray:
@@ -519,81 +581,136 @@ def _quote_minimal(texts: list[str]) -> list[str]:
 # ---------------------------------------------------------------------------
 # Column text as cells.
 #
-# A field of n rows is an (n, w) uint8 array of cells: the UTF-8 text of
-# row i is row i of the array with every GAP cell removed.  No UTF-8 text
-# holds the byte 0xFF, so the fields of a chunk are laid side by side and
-# the gaps dropped with one bytes.translate, whatever a string field holds.
+# A field of n rows is an (n, w) uint8 array of cells, or TextCells: the
+# UTF-8 text of row i is row i of the array, or text i, with every GAP
+# cell removed.  No UTF-8 text holds the byte 0xFF, so the fields of a
+# block are laid side by side in one buffer and the gaps dropped with one
+# bytes.translate, whatever a string field holds.
 # ---------------------------------------------------------------------------
 
 
-def _string_cells(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """The UTF-8 of ``texts``, each followed by a gap, and where each gap is.
+def _string_cells(texts: list[str]) -> TextCells:
+    """The UTF-8 of ``texts`` as TextCells.
 
-    Lone surrogates pass through, so the text decodes back unchanged.
+    The texts are joined by line feeds and encoded once, and the line
+    feeds become the gaps; only when a text holds a line feed is each
+    text encoded on its own.  Lone surrogates pass through, so the text
+    decodes back unchanged.
     """
-    data = b"\xff".join([t.encode("utf-8", "surrogatepass") for t in texts]) + b"\xff"
+    data = ("\n".join(texts) + "\n").encode("utf-8", "surrogatepass").translate(_LINE_FEED_TO_GAP)
     data = np.frombuffer(data, np.uint8)
-    return data, np.flatnonzero(data == GAP)
+    ends = np.flatnonzero(data == GAP)
+    if ends.size != len(texts):
+        data = b"\xff".join([t.encode("utf-8", "surrogatepass") for t in texts]) + b"\xff"
+        data = np.frombuffer(data, np.uint8)
+        ends = np.flatnonzero(data == GAP)
+    return TextCells(data, ends)
 
 
-def _spread(data: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """The (n, w) cells of rows ``data[ends[i-1]+1 : ends[i]+1]``, gap-filled."""
-    counts = np.diff(ends, prepend=-1)
-    width = int(counts.max())
-    cells = np.full((ends.size, width), GAP, np.uint8)
-    starts = ends + 1 - counts
-    cells.ravel()[np.repeat(np.arange(ends.size) * width - starts, counts)
-                  + np.arange(data.size)] = data
-    return cells
+def _json_plain(cells: TextCells) -> bool:
+    """Whether JSON writes each text of plain-file ``cells`` as it is, in quotes.
+
+    ``encode_basestring_ascii`` escapes a backslash, a quote (which a
+    plain file does not hold) and any character outside 0x20..0x7E; the
+    gaps are the only bytes outside that range that may be there.
+    """
+    data = cells.data
+    return (np.count_nonzero(data - np.uint8(0x20) > 0x5E) == len(cells)
+            and not np.count_nonzero(data == ord("\\")))
 
 
 _BOOL_CELLS = np.frombuffer(b"false" + b"true\xff", np.uint8).reshape(2, 5)
+# By k = 0..8: the word whose bytes k..7 are gaps and the rest zero.
+_TAIL_GAPS = np.array([2 ** 64 - 2 ** (8 * k) for k in range(9)], np.uint64)
 
 
 def _field(values, fmt: str):
-    """One column slice as cells, or as (data, ends) of :func:`_string_cells`."""
+    """One column slice as cells, and whether JSON quotes go around each text."""
     if isinstance(values, np.ndarray):
         if values.dtype == bool:
-            return _BOOL_CELLS[values.view(np.uint8)]
+            return _BOOL_CELLS.take(values.view(np.uint8), axis=0), False
         if values.dtype.kind in "iu":
-            return render_integers(values)
-        return render_floats(values, "g" if fmt == "csv" else "r")
+            return render_integers(values), False
+        return render_floats(values, "g" if fmt == "csv" else "r"), False
+    if isinstance(values, TextCells):
+        # A plain-file text never needs CSV quotes.
+        if fmt == "csv" or _json_plain(values):
+            return values, fmt == "json"
+        values = values.tolist()
     if fmt == "csv":
-        return _string_cells(_quote_minimal(list(values)))
+        return _string_cells(_quote_minimal(list(values))), False
     return _string_cells([encode_basestring_ascii(v) if isinstance(v, str) else json.dumps(v)
-                          for v in values])
+                          for v in values]), False
+
+
+def _spread(cells: TextCells, width: int) -> np.ndarray:
+    """The (n, width) cells of the n texts of ``cells``, each text first, then gaps.
+
+    Each row is read as 64-bit words from where its text starts, and the
+    bytes past the text's end are turned into gaps.
+    """
+    data, ends = cells.data, cells.ends
+    starts = cells.starts()
+    lengths = ends - starts
+    words = -(-width // 8)
+    # Gaps after the data, so that the last texts read as whole words too.
+    padded = np.empty(data.size + 8 * words, np.uint8)
+    padded[:data.size] = data
+    padded[data.size:] = GAP
+    # The 8 bytes from each position on, read as one word.
+    view = np.ndarray((padded.size - 7,), "<u8", padded, 0, (1,))
+    out = np.empty((ends.size, words), "<u8")
+    for k in range(words):
+        out[:, k] = view.take(starts)
+        # Lengths below 0 or above 8 clip to the first or last mask.
+        out[:, k] |= _TAIL_GAPS.take(lengths, mode="clip")
+        starts += 8
+        lengths -= 8
+    return out.view(np.uint8)[:, :width]
 
 
 def _chunk_texts(columns: list, fmt: str, pieces: list[bytes]):
     """The text of the rows of ``columns``, a block of rows at a time.
 
-    Row text is ``pieces[k]`` before field k, and ``pieces[-1]`` last.  The
-    cells of all fields and pieces are joined row by row and the gaps
-    dropped.  A block holds at most about _BLOCK_CELLS cells, so that the
-    buffers of a wide table, or of a very long string field, stay small.
+    Row text is ``pieces[k]`` before field k, and ``pieces[-1]`` last.
+    Each block is one (rows, width) buffer: every piece is written into
+    its columns at once, every field writes its cells into its own, and
+    one translate drops the gaps.  A block holds at most about
+    _BLOCK_CELLS cells, so that the buffer of a wide table, or of a very
+    long string field, stays small.
     """
-    fields = [_field(values, fmt) for values in columns]
+    pieces = list(pieces)
+    fields = []
+    for k, values in enumerate(columns):
+        cells, quoted = _field(values, fmt)
+        if quoted:
+            pieces[k] += b'"'
+            pieces[k + 1] = b'"' + pieces[k + 1]
+        # A string field is as wide as its longest text.
+        fields.append((cells, cells.shape[1] if isinstance(cells, np.ndarray)
+                       else int((cells.ends - cells.starts()).max())))
+    # The pieces and fields of a row in order, each with its width.
+    parts = []
+    for piece, field in itertools.zip_longest(pieces, fields):
+        if piece:
+            parts.append((np.frombuffer(piece, np.uint8), len(piece)))
+        if field is not None and field[1]:
+            parts.append(field)
     n = len(columns[0])
-    width = sum(len(piece) for piece in pieces) + sum(
-        f.shape[1] if isinstance(f, np.ndarray) else int(np.diff(f[1], prepend=-1).max())
-        for f in fields)
+    width = sum(w for _, w in parts)
     step = max(1, _BLOCK_CELLS // width)
     for start in range(0, n, step):
         stop = min(start + step, n)
-        rows = []
-        for piece, field in itertools.zip_longest(pieces, fields):
-            if piece:
-                rows.append(np.broadcast_to(np.frombuffer(piece, np.uint8),
-                                            (stop - start, len(piece))))
-            if isinstance(field, np.ndarray):
-                rows.append(field[start:stop])
-            elif field is not None:
-                data, ends = field
-                first = ends[start - 1] + 1 if start else 0
-                rows.append(_spread(data[first:ends[stop - 1] + 1], ends[start:stop] - first))
-        buffer = bytearray((stop - start) * sum(cells.shape[1] for cells in rows))
-        np.concatenate(rows, axis=1, out=np.frombuffer(buffer, np.uint8).reshape(stop - start, -1))
-        del rows
+        buffer = bytearray((stop - start) * width)
+        block = np.frombuffer(buffer, np.uint8).reshape(stop - start, width)
+        column = 0
+        for cells, w in parts:
+            if isinstance(cells, TextCells):
+                cells = _spread(cells[start:stop], w)
+            elif cells.ndim == 2:
+                cells = cells[start:stop]
+            block[:, column:column + w] = cells
+            column += w
         yield buffer.translate(None, b"\xff").decode("utf-8", "surrogatepass")
 
 
@@ -620,8 +737,8 @@ def write_table(
 ) -> None:
     """Write a table of equal-length ``columns`` to ``output`` (stdout if None).
 
-    A column is a numpy array of bools, integers or floats, or a list of
-    strings (for JSON, also of None or other scalars).  ``fmt="csv"``
+    A column is a numpy array of bools, integers or floats, TextCells,
+    or a list of strings (for JSON, also of None or other scalars).  ``fmt="csv"``
     writes a header, one line per row with floats at 17 significant
     digits and fields quoted as ``csv.writer`` quotes them (and also when
     they hold a carriage return), and then, if

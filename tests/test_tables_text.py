@@ -98,7 +98,7 @@ def test_render_floats_takes_any_float_array():
 def test_render_floats_takes_an_empty_array():
     for style in ("g", "r"):
         cells = render_floats(np.array([]), style)
-        assert cells.shape == (0, 48) and cells.dtype == np.uint8
+        assert cells.shape == (0, 32) and cells.dtype == np.uint8
 
 
 @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint64])
