@@ -8,6 +8,11 @@ Subcommands:
   parameter
 * ``bench``     wall-clock timing of the fast and naive engines
 
+This module restates nothing that the library decides.  The flags of
+``simulate`` are made from the fields of the config classes in
+``_EXPERIMENTS``, and an unset one takes the chosen class's default.  The
+library checks every value; ``main`` turns its ``ValueError`` into exit 2.
+
 Input is always headered CSV; summaries are emitted as JSON (output-only).
 CSV floats are written with 17 significant digits and JSON floats with
 ``repr``'s shortest round-trip digits, so written results parse back to
@@ -79,21 +84,9 @@ def cmd_test(args: argparse.Namespace) -> int:
                 f"{args.weights_file}: {weights.size} weights for "
                 f"{len(ids)} hypotheses"
             )
-    try:
-        config = StepUpConfig(
-            alpha=args.alpha,
-            epsilon=args.epsilon,
-            weights=weights,
-            mode=args.mode,
-            normalize_weights=args.normalize_weights,
-        )
-        result = (
-            weighted_synth_bh(pairs, config)
-            if weights is not None
-            else synth_bh(pairs, config)
-        )
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    config = StepUpConfig(alpha=args.alpha, epsilon=args.epsilon, weights=weights,
+                          mode=args.mode, normalize_weights=args.normalize_weights)
+    result = (synth_bh if weights is None else weighted_synth_bh)(pairs, config)
 
     columns = {
         "id": ids,
@@ -135,15 +128,12 @@ def _load_bundle(args: argparse.Namespace) -> ScoreBundle:
 def cmd_outliers(args: argparse.Namespace) -> int:
     """Conformal outlier detection over score files."""
     bundle = _load_bundle(args)
-    try:
-        trimmed = trim_by_score(bundle.synth_scores, args.rho)
-        working = dataclasses.replace(bundle, synth_scores=trimmed)
-        jitter = JitterSpec(seed=_resolve_seed(args.seed)) if args.jitter else None
-        config = StepUpConfig(alpha=args.alpha, epsilon=args.epsilon, mode=args.mode)
-        p_real, p_merged = outlier_pvalues(working, jitter)
-        result = synth_bh(np.column_stack((p_real, p_merged)), config)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    trimmed = trim_by_score(bundle.synth_scores, args.rho)
+    working = dataclasses.replace(bundle, synth_scores=trimmed)
+    jitter = JitterSpec(seed=_resolve_seed(args.seed)) if args.jitter else None
+    config = StepUpConfig(alpha=args.alpha, epsilon=args.epsilon, mode=args.mode)
+    p_real, p_merged = outlier_pvalues(working, jitter)
+    result = synth_bh(np.column_stack((p_real, p_merged)), config)
 
     columns = {
         "id": np.arange(bundle.n_test),
@@ -215,15 +205,10 @@ def _parse_sweep(text: str, allowed: Mapping[str, type]):
     return name, values
 
 
-def _summary_dicts(result) -> list[dict]:
-    return [dataclasses.asdict(s) for s in result.summaries()]
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
     """Run a Monte Carlo experiment, optionally sweeping one parameter."""
-    experiment = args.experiment
     q_synth_null = args.q_synth_null
-    if q_synth_null != "mirror-alt":
+    if q_synth_null not in (None, "mirror-alt"):
         try:
             q_synth_null = float(q_synth_null)
         except ValueError:
@@ -232,10 +217,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 f"got {q_synth_null!r}"
             ) from None
     seed = _resolve_seed(args.seed)
-    config_class = _EXPERIMENTS[experiment]
+    config_class = _EXPERIMENTS[args.experiment]
     fields = dataclasses.fields(config_class)
-    resolved = {"seed": seed, "q_synth_null": q_synth_null}
-    base_kwargs = {f.name: resolved.get(f.name, getattr(args, f.name)) for f in fields}
+    given = {**vars(args), "seed": seed, "q_synth_null": q_synth_null}
+    # An unset flag reads None and takes the class's default.
+    base_kwargs = {f.name: f.default if given[f.name] is None else given[f.name]
+                   for f in fields}
 
     if args.sweep is not None:
         sweepable = {f.name: type(f.default) for f in fields if f.name != "seed"}
@@ -268,12 +255,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             raise failure(value, exc) from exc
 
     summary_payload = {
-        "experiment": experiment,
-        "config": {k: v for k, v in base_kwargs.items()},
+        "experiment": args.experiment,
+        "config": base_kwargs,
         "seed": seed,
         "sweep": sweep_info,
         "points": [
-            {"param": param, "value": value, "methods": _summary_dicts(result)}
+            {"param": param, "value": value,
+             "methods": [dataclasses.asdict(s) for s in result.summaries()]}
             for value, result in points
         ],
     }
@@ -321,13 +309,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
     for m in sizes:
         if m < 1:
             raise CliError(f"sizes must be >= 1, got {m}")
-    try:
-        configs = {
-            mode: StepUpConfig(alpha=args.alpha, epsilon=args.epsilon, mode=mode)
-            for mode in ("fast", "naive")
-        }
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    configs = {
+        mode: StepUpConfig(alpha=args.alpha, epsilon=args.epsilon, mode=mode)
+        for mode in ("fast", "naive")
+    }
     seed = _resolve_seed(args.seed)
     records = []
     for m in sizes:
@@ -360,6 +345,29 @@ def _add_level_flags(parser: argparse.ArgumentParser, default_epsilon: float) ->
                         help="target FDR level (default 0.1)")
     parser.add_argument("--epsilon", type=float, default=default_epsilon,
                         help=f"admission cost for auxiliary data (default {default_epsilon})")
+
+
+def _add_experiment_flags(parser: argparse.ArgumentParser) -> None:
+    """One flag per field of each config class in ``_EXPERIMENTS``.
+
+    A field of every class is a common option, any other is in its
+    experiment's group.  No flag has a default: an unset one reads None,
+    and ``cmd_simulate`` takes the chosen class's default for it.
+    """
+    fields = {name: dataclasses.fields(c) for name, c in _EXPERIMENTS.items()}
+    shared = set.intersection(*({f.name for f in fs} for fs in fields.values()))
+    added = {"alpha", "epsilon", "seed"}  # written by hand among the common options
+    for name, fs in fields.items():
+        group = parser.add_argument_group(f"{name} experiment")
+        for f in fs:
+            if f.name in added:
+                continue
+            added.add(f.name)
+            # q_synth_null is a probability or a word, which cmd_simulate parses.
+            kwargs = ({"help": "probability, or 'mirror-alt' for the hostile regime"}
+                      if f.name == "q_synth_null" else {"type": type(f.default)})
+            (parser if f.name in shared else group).add_argument(
+                "--" + f.name.replace("_", "-"), **kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -397,28 +405,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="run a seeded Monte Carlo experiment")
     p_sim.add_argument("--experiment", choices=list(_EXPERIMENTS), default="bernoulli")
     _add_level_flags(p_sim, default_epsilon=0.1)
-    p_sim.add_argument("--trials", type=int, default=100)
     p_sim.add_argument("--seed", type=int,
                        help="master seed (omitted: drawn from entropy and printed)")
     p_sim.add_argument("--sweep", help="one-parameter sweep: name=v1,v2,... or name=start:stop:step")
     p_sim.add_argument("--output", help="per-trial CSV path (default stdout); "
                        "a .summary.json sidecar is written next to it")
     p_sim.add_argument("--format", choices=["csv", "json"], default="csv")
-    bern = p_sim.add_argument_group("bernoulli experiment")
-    bern.add_argument("--n-real", type=int, default=200)
-    bern.add_argument("--n-synth", type=int, default=1000)
-    bern.add_argument("--m", type=int, default=1000)
-    bern.add_argument("--frac-alt", type=float, default=0.05)
-    bern.add_argument("--q-alt", type=float, default=0.6)
-    bern.add_argument("--q-synth-null", default="0.5",
-                      help="probability, or 'mirror-alt' for the hostile regime")
-    bern.add_argument("--q-synth-alt", type=float, default=0.55)
-    outl = p_sim.add_argument_group("outlier experiment")
-    outl.add_argument("--n", type=int, default=500)
-    outl.add_argument("--outlier-frac", type=float, default=0.05)
-    outl.add_argument("--contamination-frac", type=float, default=0.05)
-    outl.add_argument("--rho", type=float, default=0.02)
-    outl.add_argument("--mu-out", type=float, default=3.0)
+    _add_experiment_flags(p_sim)
 
     p_bench = sub.add_parser("bench", help="time the fast and naive engines")
     p_bench.add_argument("--sizes", required=True,
@@ -446,9 +439,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         # Flushed here, so that a closed stdout fails where it is handled.
         sys.stdout.flush()
         return code
-    except CliError as exc:
+    except (CliError, ValueError) as exc:
+        # A ValueError is a failed library check, such as a config's.
         print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
+        return getattr(exc, "exit_code", EXIT_VALIDATION)
     except BrokenPipeError as exc:
         # Unflushed output would fail again at exit; devnull takes it.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

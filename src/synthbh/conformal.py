@@ -88,9 +88,8 @@ class JitterSpec:
 
     Each score receives an additive uniform draw in
     ``[0, relative_scale * (max_score - min_score))``, generated once per
-    element position from ``seed``, so results do not depend on how the
-    work is parallelized.  When every score is identical the range is
-    zero and jitter is a no-op.
+    element position from ``seed``.  When every score is identical the
+    range is zero and jitter is a no-op.
     """
 
     seed: int

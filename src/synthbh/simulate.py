@@ -145,14 +145,15 @@ class OutlierConfig:
     the default mu_out of 3.0 was calibrated so the reference-only
     step-up baseline lands near 50% power at the default sizes.  Each
     trial draws a clean reference set of size n, an auxiliary set of size
-    n_synth with a ``contamination_frac`` share of outlier-like scores, of
+    n_synth (1000, as in the Bernoulli experiment) with a
+    ``contamination_frac`` share of outlier-like scores, of
     which the top ``rho`` fraction is trimmed, and m test points with an
     ``outlier_frac`` share of outliers; levels are alpha = epsilon = 0.1
     over 100 trials.
     """
 
     n: int = 500
-    n_synth: int = 2500
+    n_synth: int = 1000
     m: int = 1000
     outlier_frac: float = 0.05
     contamination_frac: float = 0.05

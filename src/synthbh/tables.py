@@ -552,13 +552,17 @@ _BLOCK_CELLS = 1 << 18
 _CSV_SPECIAL = (",", '"', "\r", "\n", "\0")
 
 
-def _quote_minimal(texts: list[str]) -> list[str]:
+def _quote_minimal(texts: list[str], lone: bool = False) -> list[str]:
     """``texts`` as ``csv.writer`` writes them as fields of a row.
 
     A field that holds a carriage return is quoted too, which
     ``csv.writer`` with a line-feed line terminator does not do; unquoted,
-    it would not read back as one field.
+    it would not read back as one field.  With ``lone``, each text is the
+    only field of its row, and an empty one is written ``""``, as
+    ``csv.writer`` does, so that the row does not read back as blank.
     """
+    if lone and not all(texts):
+        return [text or '""' for text in _quote_minimal(texts)]
     joined = "".join(texts)
     if not any(c in joined for c in _CSV_SPECIAL):
         return texts
@@ -624,8 +628,11 @@ _BOOL_CELLS = np.frombuffer(b"false" + b"true\xff", np.uint8).reshape(2, 5)
 _TAIL_GAPS = np.array([2 ** 64 - 2 ** (8 * k) for k in range(9)], np.uint64)
 
 
-def _field(values, fmt: str):
-    """One column slice as cells, and whether JSON quotes go around each text."""
+def _field(values, fmt: str, lone: bool):
+    """One column slice as cells, and whether JSON quotes go around each text.
+
+    ``lone`` marks the only column of a CSV table (see ``_quote_minimal``).
+    """
     if isinstance(values, np.ndarray):
         if values.dtype == bool:
             return _BOOL_CELLS.take(values.view(np.uint8), axis=0), False
@@ -633,12 +640,13 @@ def _field(values, fmt: str):
             return render_integers(values), False
         return render_floats(values, "g" if fmt == "csv" else "r"), False
     if isinstance(values, TextCells):
-        # A plain-file text never needs CSV quotes.
-        if fmt == "csv" or _json_plain(values):
+        # A plain-file text never needs CSV quotes, unless it is empty and alone.
+        empty = lone and not (values.ends - values.starts()).all()
+        if fmt == "csv" and not empty or fmt == "json" and _json_plain(values):
             return values, fmt == "json"
         values = values.tolist()
     if fmt == "csv":
-        return _string_cells(_quote_minimal(list(values))), False
+        return _string_cells(_quote_minimal(list(values), lone)), False
     return _string_cells([encode_basestring_ascii(v) if isinstance(v, str) else json.dumps(v)
                           for v in values]), False
 
@@ -682,7 +690,7 @@ def _chunk_texts(columns: list, fmt: str, pieces: list[bytes]):
     pieces = list(pieces)
     fields = []
     for k, values in enumerate(columns):
-        cells, quoted = _field(values, fmt)
+        cells, quoted = _field(values, fmt, fmt == "csv" and len(columns) == 1)
         if quoted:
             pieces[k] += b'"'
             pieces[k + 1] = b'"' + pieces[k + 1]
@@ -750,7 +758,7 @@ def write_table(
     n = len(next(iter(columns.values())))
     with _output(output) as handle:
         if fmt == "csv":
-            handle.write(",".join(_quote_minimal(list(columns))) + "\n")
+            handle.write(",".join(_quote_minimal(list(columns), len(columns) == 1)) + "\n")
             _write_rows(handle, columns, n, fmt, [""] + [","] * (len(columns) - 1) + ["\n"], "")
             rest = {k: v for k, v in summary.items() if v is not ROWS}
             if rest:

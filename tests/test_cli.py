@@ -8,6 +8,7 @@ import dataclasses
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 
@@ -698,3 +699,60 @@ class TestErrorContract:
             codes[code] += 1
         # The fuzz reaches successful runs and both kinds of failure.
         assert set(codes) == {0, 2, 3}
+
+
+class TestSimulateFlags:
+    """The flags of ``simulate`` are the fields of the experiment config classes."""
+
+    @pytest.mark.parametrize("experiment", ["bernoulli", "outlier"])
+    def test_help_names_one_flag_per_field(self, capsys, experiment):
+        with pytest.raises(SystemExit):
+            run(["simulate", "--help"])
+        flags = re.findall(r"^ +(--[a-z-]+)", capsys.readouterr().out, re.M)
+        for f in dataclasses.fields(cli._EXPERIMENTS[experiment]):
+            assert flags.count("--" + f.name.replace("_", "-")) == 1, f.name
+
+    @pytest.mark.parametrize("experiment", ["bernoulli", "outlier"])
+    def test_unset_flags_take_the_class_defaults(self, tmp_path, experiment):
+        out = tmp_path / "x.csv"
+        assert run(["simulate", "--experiment", experiment, "--trials", "2", "--m", "20",
+                    "--seed", "5", "--output", out]) == 0
+        summary = json.loads((tmp_path / "x.summary.json").read_text())
+        config_class = cli._EXPERIMENTS[experiment]
+        assert summary["config"] == dataclasses.asdict(config_class(trials=2, m=20, seed=5))
+
+    def test_a_new_config_field_gets_a_flag(self, monkeypatch):
+        @dataclasses.dataclass(frozen=True)
+        class WidthConfig:
+            width: float = 1.5
+            alpha: float = 0.1
+            epsilon: float = 0.1
+            trials: int = 100
+            seed: int = 0
+
+        monkeypatch.setitem(cli._EXPERIMENTS, "width", WidthConfig)
+        args = cli.build_parser().parse_args(
+            ["simulate", "--experiment", "width", "--width", "2.5", "--trials", "3"])
+        assert (args.experiment, args.width, args.trials) == ("width", 2.5, 3)
+        assert cli.build_parser().parse_args(["simulate"]).width is None
+
+
+class TestErrorBoundary:
+    """``main`` turns a library ValueError into exit 2, whichever step raises it."""
+
+    @pytest.mark.parametrize("argv", [
+        ["test", "{pairs}"],
+        ["outliers", "--real", "{scores}", "--test", "{scores}"],
+        ["simulate", "--trials", "2", "--m", "20", "--seed", "1"],
+        ["bench", "--sizes", "10", "--repeats", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_value_error_exits_2_with_its_message(self, tmp_path, monkeypatch, capsys, argv):
+        files = {"pairs": write(tmp_path / "p.csv", PAIR_FILE),
+                 "scores": write(tmp_path / "s.csv", "score\n0.1\n0.7\n2.0\n")}
+
+        def boom(*args, **kwargs):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(cli, "write_table", boom)
+        assert run([a.format(**files) for a in argv]) == 2
+        assert capsys.readouterr().err == "error: boom\n"

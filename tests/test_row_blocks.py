@@ -18,7 +18,8 @@ import pytest
 
 from synthbh import StepUpConfig, floattext, synth_bh, tables
 from synthbh.cli import main
-from synthbh.tables import ROWS, TextCells, read_pvalue_cells, read_pvalue_table, write_table
+from synthbh.tables import ROWS, TextCells, read_pvalue_cells, read_pvalue_table, \
+    read_result_table, write_table
 from test_cli_io import ref_read_pvalue_table, ref_test_output
 
 
@@ -164,3 +165,25 @@ def test_non_plain_ids_match_reference(tmp_path, monkeypatch, newline):
     assert isinstance(read_pvalue_cells(path)[0], list)
     assert read_pvalue_table(path)[0] == ids
     assert run_test_command(tmp_path, path) == ids
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3])
+def test_one_column_table_quotes_empty_texts(tmp_path, monkeypatch, chunk):
+    # csv.writer writes an empty row's one field as "", so that the row
+    # does not read back as a blank line.  Empty texts fall on chunk edges.
+    monkeypatch.setattr(tables, "_CHUNK_ROWS", chunk)
+    names = ["", "a", "", "", "bc", "d", "e", "", "f", ""]
+    out = tmp_path / "t.csv"
+    for header in ("name", ""):
+        for column in (names, tables._string_cells(names)):
+            write_table(str(out), {header: column}, "csv", {})
+            assert out.read_text() == csv_text([header], [[n] for n in names])
+    assert read_result_table(str(out))[1] == [[n] for n in names]
+    # A plain file's empty id is TextCells too.
+    ids, _, _ = read_pvalue_cells(str(pvalue_file(tmp_path, names)))
+    assert isinstance(ids, TextCells)
+    write_table(str(out), {"id": ids}, "csv", {})
+    assert out.read_text() == csv_text(["id"], [[n] for n in names])
+    quoted = ["", "a,b", "", 'q"']
+    write_table(str(out), {"name": quoted}, "csv", {})
+    assert out.read_text() == csv_text(["name"], [[n] for n in quoted])
