@@ -10,8 +10,9 @@ Subcommands:
 
 This module restates nothing that the library decides.  The flags of
 ``simulate`` are made from the fields of the config classes in
-``_EXPERIMENTS``, and an unset one takes the chosen class's default.  The
-library checks every value; ``main`` turns its ``ValueError`` into exit 2.
+``_EXPERIMENTS``; an unset one takes the chosen class's default, and one
+that the chosen class lacks is an error.  The library checks every value;
+``main`` turns its ``ValueError`` into exit 2.
 
 Input is always headered CSV; summaries are emitted as JSON (output-only).
 CSV floats are written with 17 significant digits and JSON floats with
@@ -36,8 +37,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .conformal import JitterSpec, ScoreBundle, outlier_pvalues, trim_by_score
-from .simulate import OutlierConfig, SimConfig, run_bernoulli_experiment, \
-    run_outlier_experiment
+from .simulate import OutlierConfig, SimConfig, run_experiments
 from .stepup import StepUpConfig, synth_bh, weighted_synth_bh
 # EXIT_IO, EXIT_VALIDATION, read_pvalue_table and read_result_table stay importable from here.
 from .tables import EXIT_IO, EXIT_OK, EXIT_VALIDATION, ROWS, CliError, read_pvalue_cells, \
@@ -207,6 +207,15 @@ def _parse_sweep(text: str, allowed: Mapping[str, type]):
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     """Run a Monte Carlo experiment, optionally sweeping one parameter."""
+    config_class = _EXPERIMENTS[args.experiment]
+    fields = dataclasses.fields(config_class)
+    # A flag of another experiment's field would be dropped without a word.
+    own = {f.name for f in fields}
+    for other in _EXPERIMENTS.values():
+        for f in dataclasses.fields(other):
+            if f.name not in own and getattr(args, f.name) is not None:
+                raise CliError(f"--{f.name.replace('_', '-')} is not a flag of the "
+                               f"{args.experiment} experiment")
     q_synth_null = args.q_synth_null
     if q_synth_null not in (None, "mirror-alt"):
         try:
@@ -217,8 +226,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 f"got {q_synth_null!r}"
             ) from None
     seed = _resolve_seed(args.seed)
-    config_class = _EXPERIMENTS[args.experiment]
-    fields = dataclasses.fields(config_class)
     given = {**vars(args), "seed": seed, "q_synth_null": q_synth_null}
     # An unset flag reads None and takes the class's default.
     base_kwargs = {f.name: f.default if given[f.name] is None else given[f.name]
@@ -241,18 +248,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     configs = []
     for value, kwargs in runs:
         try:
-            configs.append((value, config_class(**kwargs)))
+            configs.append(config_class(**kwargs))
         except ValueError as exc:
             raise failure(value, exc) from exc
-    # Looked up at call time, so that the run functions can be replaced.
-    run = {SimConfig: run_bernoulli_experiment,
-           OutlierConfig: run_outlier_experiment}[config_class]
+    # The runner yields the points in order, so an error belongs to the
+    # first point not yet yielded.
     points = []
-    for value, config in configs:
-        try:
-            points.append((value, run(config)))
-        except ValueError as exc:
-            raise failure(value, exc) from exc
+    try:
+        for result in run_experiments(configs):
+            points.append((runs[len(points)][0], result))
+    except ValueError as exc:
+        raise failure(runs[len(points)][0], exc) from exc
 
     summary_payload = {
         "experiment": args.experiment,

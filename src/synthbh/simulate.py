@@ -15,16 +15,20 @@ methods per trial:
 Gaussian scores, a contaminated auxiliary set, and trimming.
 
 Both have one shape: a frozen config class that checks its fields when
-built, a trial function ``_<name>_trial(config, trial)`` that draws one
-trial's p-values and null mask, and a run function
-``_score_trials(_run_trials(...), config.alpha, config.epsilon)``.  The
-config's fields are the experiment's parameters, in the order that the
-``simulate`` summary lists them; the CLI sweeps every field but ``seed``.
+built, and a trial function ``_<name>_trial(config, trial)`` that draws
+one trial's p-values and null mask, keyed by the class in ``_TRIALS``.
+The config's fields are the experiment's parameters, in the order that
+the ``simulate`` summary lists them; the CLI sweeps every field but
+``seed``.  ``run_experiments(configs)`` runs a list of configs:
+consecutive ones that differ only in ``alpha`` and ``epsilon`` share one
+``_run_trials`` pass, scored at each of their levels by
+``_score_trials(blocks, levels)``.
 
 Reproducibility: every trial draws from ``default_rng([seed, trial])``,
-in trial order, so results depend on the seed alone.  Trials run serially;
-their p-values are stacked into blocks of about 16k hypotheses, and each
-method scores a whole block with one row-wise step-up scan.
+in trial order, so results depend on the seed alone, and the levels enter
+no draw.  Trials run serially; their p-values are stacked into blocks of
+about 16k hypotheses, and each method scores a whole block with one
+row-wise step-up scan.  No draw is kept beyond its block.
 
 Binomial tail probabilities are computed by exact integer summation and
 a single correctly rounded float division, for n up to 2000; larger n
@@ -33,10 +37,11 @@ raises rather than silently approximating.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Iterator, Mapping, Union
+from dataclasses import dataclass, fields
+from functools import lru_cache, partial
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -280,10 +285,11 @@ def randomized_binomial_pvalues(successes, n: int, u) -> np.ndarray:
     x = np.asarray(successes)
     if not np.issubdtype(x.dtype, np.integer):
         raise ValueError("successes must be integers")
-    if np.any(x < 0) or np.any(x > n):
+    if x.size and (x.min() < 0 or x.max() > n):
         raise ValueError(f"successes must lie in [0, {n}]")
     uu = np.asarray(u, dtype=np.float64)
-    if not np.all(np.isfinite(uu)) or np.any(uu < 0) or np.any(uu > 1):
+    # A NaN makes min and max NaN, which fails both comparisons.
+    if uu.size and not (uu.min() >= 0 and uu.max() <= 1):
         raise ValueError("u must lie in [0, 1]")
     sf, pmf = _binomial_half_tables(n)
     return np.minimum(sf[x] + uu * pmf[x], 1.0)
@@ -318,17 +324,18 @@ def fdp_and_power(rejected, null_mask) -> TrialMetrics:
 def _bernoulli_trial(config: SimConfig, trial: int) -> Draws:
     rng = np.random.default_rng([config.seed, trial])
     m, m_alt = config.m, config.n_alternatives
-    q_real = np.full(m, 0.5)
-    q_real[:m_alt] = config.q_alt
     synth_null = (
         config.q_synth_alt
         if config.q_synth_null == MIRROR_ALT
         else config.q_synth_null
     )
-    q_synth = np.full(m, synth_null)
-    q_synth[:m_alt] = config.q_synth_alt
-    x_real = rng.binomial(config.n_real, q_real)
-    x_synth = rng.binomial(config.n_synth, q_synth)
+    # One scalar-probability call per segment, alternatives first: the
+    # same variates, in the same order, as one call with a per-element
+    # probability array.
+    x_real = np.concatenate([rng.binomial(config.n_real, config.q_alt, m_alt),
+                             rng.binomial(config.n_real, 0.5, m - m_alt)])
+    x_synth = np.concatenate([rng.binomial(config.n_synth, config.q_synth_alt, m_alt),
+                              rng.binomial(config.n_synth, synth_null, m - m_alt)])
     u_real = rng.random(m)
     u_pooled = rng.random(m)
     p_real = randomized_binomial_pvalues(x_real, config.n_real, u_real)
@@ -355,38 +362,51 @@ def _run_trials(worker: Callable[[int], Draws], trials: int) -> Iterator[Draws]:
             rows = []
 
 
-def _score_trials(blocks: Iterator[Draws], alpha: float,
-                  epsilon: float) -> ExperimentResult:
-    """Score the four methods on each block of stacked trials.
+def _score_trials(blocks: Iterator[Draws],
+                  levels: Sequence[tuple[float, float]]) -> list[ExperimentResult]:
+    """Score the four methods on each block of stacked trials, at each level.
 
-    Gives, trial for trial, the metrics of ``fdp_and_power`` on the
-    rejection sets of ``bh`` at alpha, ``bh`` at alpha + epsilon, ``bh`` on
-    the pooled p-values and fast ``synth_bh``, with the same checks.
+    Gives, per ``(alpha, epsilon)`` in ``levels`` and trial for trial, the
+    metrics of ``fdp_and_power`` on the rejection sets of ``bh`` at alpha,
+    ``bh`` at alpha + epsilon, ``bh`` on the pooled p-values and fast
+    ``synth_bh``, with the same checks.  Every level's configs are built
+    before the first block is drawn, and within a block a method's scan at
+    a config that already ran is not run again.
     """
-    guarded = StepUpConfig(alpha=alpha, epsilon=epsilon)
-    relaxed, plain = StepUpConfig(alpha=alpha + epsilon), StepUpConfig(alpha=alpha)
-    per_trial: dict[str, list[TrialMetrics]] = {name: [] for name in METHOD_NAMES}
+    configs = [(StepUpConfig(alpha=alpha), StepUpConfig(alpha=alpha + epsilon),
+                StepUpConfig(alpha=alpha, epsilon=epsilon)) for alpha, epsilon in levels]
+    per_level: list[dict[str, list[TrialMetrics]]] = [
+        {name: [] for name in METHOD_NAMES} for _ in levels]
     for p_real, p_pooled, null_mask in blocks:
         n_alt = np.maximum(np.count_nonzero(~null_mask, axis=1), 1)
-        # bh is the guarded rule at epsilon = 0, where v = p.  The first
-        # run, with p_pooled as q, checks both arrays; the others skip it.
-        runs = (
-            ("BH-real", p_real, p_pooled, plain),
-            ("BH-real+eps", p_real, p_real, relaxed),
-            ("BH-synth", p_pooled, p_pooled, plain),
-            ("SynthBH", p_real, p_pooled, guarded),
+        scored: dict[tuple, list[TrialMetrics]] = {}
+        for (plain, relaxed, guarded), per_trial in zip(configs, per_level):
+            # bh is the guarded rule at epsilon = 0, where v = p.  The first
+            # run, with p_pooled as q, checks both arrays; the others skip it.
+            runs = (
+                ("BH-real", p_real, p_pooled, plain),
+                ("BH-real+eps", p_real, p_real, relaxed),
+                ("BH-synth", p_pooled, p_pooled, plain),
+                ("SynthBH", p_real, p_pooled, guarded),
+            )
+            for name, p, q, config in runs:
+                key = (name, config.alpha, config.epsilon)
+                if key not in scored:
+                    _, rejected, _ = stepup_guarded(p, q, config, checked=bool(scored))
+                    n_rej = np.count_nonzero(rejected, axis=1)
+                    false_rej = np.count_nonzero(rejected & null_mask, axis=1)
+                    fdp = false_rej / np.maximum(n_rej, 1)
+                    power = (n_rej - false_rej) / n_alt
+                    scored[key] = list(map(TrialMetrics, fdp.tolist(), power.tolist(),
+                                           n_rej.tolist()))
+                per_trial[name] += scored[key]
+    return [
+        ExperimentResult(
+            method_names=METHOD_NAMES,
+            per_trial={name: tuple(rows) for name, rows in per_trial.items()},
         )
-        for name, p, q, config in runs:
-            _, rejected, _ = stepup_guarded(p, q, config, checked=name != "BH-real")
-            n_rej = np.count_nonzero(rejected, axis=1)
-            false_rej = np.count_nonzero(rejected & null_mask, axis=1)
-            fdp = false_rej / np.maximum(n_rej, 1)
-            power = (n_rej - false_rej) / n_alt
-            per_trial[name] += map(TrialMetrics, fdp.tolist(), power.tolist(), n_rej.tolist())
-    return ExperimentResult(
-        method_names=METHOD_NAMES,
-        per_trial={name: tuple(rows) for name, rows in per_trial.items()},
-    )
+        for per_trial in per_level
+    ]
 
 
 def run_bernoulli_experiment(config: SimConfig) -> ExperimentResult:
@@ -398,8 +418,7 @@ def run_bernoulli_experiment(config: SimConfig) -> ExperimentResult:
     draws for the two), and scores the four methods against the known
     null mask.  Identical seeds give identical results.
     """
-    blocks = _run_trials(lambda t: _bernoulli_trial(config, t), config.trials)
-    return _score_trials(blocks, config.alpha, config.epsilon)
+    return next(run_experiments([config]))
 
 
 def _outlier_trial(config: OutlierConfig, trial: int) -> Draws:
@@ -428,5 +447,30 @@ def run_outlier_experiment(config: OutlierConfig) -> ExperimentResult:
     conformal p-values in the synthetic role.  Identical seeds give
     identical results.
     """
-    blocks = _run_trials(lambda t: _outlier_trial(config, t), config.trials)
-    return _score_trials(blocks, config.alpha, config.epsilon)
+    return next(run_experiments([config]))
+
+
+# The trial function of each experiment's config class.
+_TRIALS: dict[type, Callable[..., Draws]] = {
+    SimConfig: _bernoulli_trial,
+    OutlierConfig: _outlier_trial,
+}
+
+
+def _draws_key(config) -> tuple:
+    """What a config's draws depend on: everything but its levels."""
+    return type(config), [getattr(config, f.name) for f in fields(config)
+                          if f.name not in ("alpha", "epsilon")]
+
+
+def run_experiments(configs: Iterable) -> Iterator[ExperimentResult]:
+    """One result per config of ``_TRIALS``, in order.
+
+    Consecutive configs that differ only in ``alpha`` and ``epsilon`` share
+    one pass over the trials: each trial is drawn once and scored at each
+    of their levels.  Each result equals that of its config run alone.
+    """
+    for _, run in itertools.groupby(configs, _draws_key):
+        run = list(run)
+        blocks = _run_trials(partial(_TRIALS[type(run[0])], run[0]), run[0].trials)
+        yield from _score_trials(blocks, [(c.alpha, c.epsilon) for c in run])

@@ -319,6 +319,8 @@ class TestCmdOutliers:
 class TestCmdSimulate:
     ARGS = ["simulate", "--trials", "3", "--m", "40", "--n-real", "30",
             "--n-synth", "60", "--seed", "7"]
+    # ARGS without --n-real, which only the Bernoulli experiment takes.
+    SHARED_ARGS = ["simulate", "--trials", "3", "--m", "40", "--n-synth", "60", "--seed", "7"]
 
     def test_deterministic_output_files(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -426,7 +428,7 @@ class TestCmdSimulate:
     @pytest.mark.parametrize("experiment", ["bernoulli", "outlier"])
     def test_sweepable_names_are_config_fields(self, monkeypatch, capsys, experiment):
         names = self.SWEEPABLE[experiment]
-        assert run(self.ARGS + ["--experiment", experiment, "--sweep", "seed=1,2"]) == 2
+        assert run(self.SHARED_ARGS + ["--experiment", experiment, "--sweep", "seed=1,2"]) == 2
         assert capsys.readouterr().err == (
             f"error: cannot sweep 'seed'; choose one of {names}\n"
         )
@@ -436,13 +438,12 @@ class TestCmdSimulate:
         def ran(config):
             raise ValueError("ran")
 
-        for name in ("run_bernoulli_experiment", "run_outlier_experiment"):
-            monkeypatch.setattr(cli, name, ran)
+        monkeypatch.setattr(cli, "run_experiments", ran)
         for f in fields:
             if f.name == "seed":
                 continue
-            assert run(self.ARGS + ["--experiment", experiment,
-                                    "--sweep", f"{f.name}=2.5"]) == 2
+            assert run(self.SHARED_ARGS + ["--experiment", experiment,
+                                           "--sweep", f"{f.name}=2.5"]) == 2
             err = capsys.readouterr().err
             if f.type == "int":
                 assert err == f"error: sweep over {f.name!r} needs integers, got 2.5\n"
@@ -459,7 +460,7 @@ class TestCmdSimulate:
         assert [p["value"] for p in payload["points"]] == [0.1, 0.2]
 
     def test_negative_seed_rejected_before_running(self, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "run_bernoulli_experiment", lambda config: 1 / 0)
+        monkeypatch.setattr(cli, "run_experiments", lambda configs: 1 / 0)
         assert run(self.ARGS + ["--seed", "-1"]) == 2
         assert "seed must be >= 0" in capsys.readouterr().err
 
@@ -498,9 +499,8 @@ class TestCmdSimulate:
     def test_sweep_validated_before_any_point_runs(self, monkeypatch, capsys,
                                                    experiment, sweep, bad):
         calls = []
-        for name in ("run_bernoulli_experiment", "run_outlier_experiment"):
-            monkeypatch.setattr(cli, name, lambda *a, _name=name, **k: calls.append(_name))
-        assert run(self.ARGS + ["--experiment", experiment, "--sweep", sweep]) == 2
+        monkeypatch.setattr(cli, "run_experiments", lambda *a, **k: calls.append(a))
+        assert run(self.SHARED_ARGS + ["--experiment", experiment, "--sweep", sweep]) == 2
         assert calls == []
         assert f"sweep {bad}:" in capsys.readouterr().err
 
@@ -735,6 +735,55 @@ class TestSimulateFlags:
             ["simulate", "--experiment", "width", "--width", "2.5", "--trials", "3"])
         assert (args.experiment, args.width, args.trials) == ("width", 2.5, 3)
         assert cli.build_parser().parse_args(["simulate"]).width is None
+
+    @pytest.mark.parametrize("experiment, flags, named", [
+        ("outlier", ["--frac-alt", "0.2"], "--frac-alt"),
+        ("outlier", ["--n-real", "30", "--q-alt", "0.7"], "--n-real"),
+        # Not parsed as a probability: the outlier experiment has no such field.
+        ("outlier", ["--q-synth-null", "bogus"], "--q-synth-null"),
+        ("outlier", ["--q-synth-null", "0.5"], "--q-synth-null"),
+        ("bernoulli", ["--rho", "0.3", "--mu-out", "9"], "--rho"),
+        ("bernoulli", ["--mu-out", "9"], "--mu-out"),
+        ("bernoulli", ["--n", "40"], "--n"),
+    ])
+    def test_a_flag_of_the_other_experiment_exits_2(self, tmp_path, monkeypatch, capsys,
+                                                    experiment, flags, named):
+        monkeypatch.setattr(cli, "run_experiments", lambda configs: 1 / 0)
+        out = tmp_path / "x.csv"
+        assert run(["simulate", "--experiment", experiment, "--trials", "2", "--m", "20",
+                    "--n-synth", "50", "--output", out] + flags) == 2
+        assert capsys.readouterr().err == (
+            f"error: {named} is not a flag of the {experiment} experiment\n")
+        assert not out.exists()
+
+    def test_fuzzed_calls_with_the_experiments_own_flags(self, tmp_path, capsys):
+        # TestErrorContract's simulate calls mix both experiments' flags, so
+        # they all stop at the check above; these reach the runs.
+        own = {"bernoulli": [("--n-real", ["10", "30", "0"]), ("--frac-alt", ["0.2", "1", "2"]),
+                             ("--q-synth-null", ["0.5", "mirror-alt", "nan"])],
+               "outlier": [("--n", ["10", "20", "-2"]), ("--rho", ["0.1", "nan", "1"]),
+                           ("--mu-out", ["3", "nan", "inf"])]}
+        rng = random.Random(20261020)
+        codes = collections.Counter()
+        for _ in range(60):
+            experiment = rng.choice(list(own))
+            argv = ["simulate", "--experiment", experiment, "--trials", rng.choice(["1", "3"]),
+                    "--m", rng.choice(["1", "5", "20"]), "--n-synth", rng.choice(["20", "40"]),
+                    "--seed", "3", "--output", str(tmp_path / "o.csv")]
+            for flag, values in own[experiment]:
+                if rng.random() < 0.5:
+                    argv += [flag, rng.choice(values)]
+            for flag, values in (("--alpha", TestErrorContract.LEVELS[:4]),
+                                 ("--epsilon", TestErrorContract.LEVELS[:4]),
+                                 ("--sweep", TestErrorContract.SWEEPS)):
+                if rng.random() < 0.5:
+                    argv += [flag, rng.choice(values)]
+            code = run(argv)
+            err = capsys.readouterr().err
+            assert code in (0, 2), (argv, err)
+            assert "not a flag" not in err, argv
+            codes[experiment, code] += 1
+        assert all(codes[experiment, code] for experiment in own for code in (0, 2))
 
 
 class TestErrorBoundary:

@@ -273,7 +273,7 @@ def oracle_metrics(draws, alpha, epsilon):
 
 def stacked_metrics(draws, alpha, epsilon):
     blocks = simulate._run_trials(draws.__getitem__, len(draws))
-    return simulate._score_trials(blocks, alpha, epsilon).per_trial
+    return simulate._score_trials(blocks, [(alpha, epsilon)])[0].per_trial
 
 
 def crafted_draws(rng, trials, m, levels):
