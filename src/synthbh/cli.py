@@ -272,26 +272,24 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         ],
     }
 
-    trials = [
-        (value, method, trial, metrics)
-        for value, result in points
-        for method in result.method_names
-        for trial, metrics in enumerate(result.trial_metrics(method))
-    ]
+    values: list = []
+    methods: list[str] = []
+    trial = []
+    for value, result in points:
+        n_methods, n_trials = result.fdp.shape
+        values += [value] * (n_methods * n_trials)
+        for name in result.method_names:
+            methods += [name] * n_trials
+        trial.append(np.tile(np.arange(n_trials), n_methods))
     columns: dict[str, Sequence] = {}
     if args.format == "json" or param is not None:
-        columns["param"] = [param] * len(trials)
-        value_column = [t[0] for t in trials]
+        columns["param"] = [param] * len(methods)
         # JSON keeps each sweep value's own type; CSV writes it as a float.
-        columns["value"] = (
-            value_column if args.format == "json"
-            else np.array(value_column, dtype=np.float64)
-        )
-    columns["method"] = [t[1] for t in trials]
-    columns["trial"] = np.array([t[2] for t in trials], dtype=np.int64)
-    columns["fdp"] = np.array([t[3].fdp for t in trials], dtype=np.float64)
-    columns["power"] = np.array([t[3].power for t in trials], dtype=np.float64)
-    columns["rejections"] = np.array([t[3].rejections for t in trials], dtype=np.int64)
+        columns["value"] = values if args.format == "json" else np.array(values, dtype=np.float64)
+    columns["method"] = methods
+    columns["trial"] = np.concatenate(trial)
+    for name in ("fdp", "power", "rejections"):
+        columns[name] = np.concatenate([getattr(result, name).ravel() for _, result in points])
     if args.format == "json":
         write_table(args.output, columns, "json", {**summary_payload, "per_trial": ROWS})
         return EXIT_OK

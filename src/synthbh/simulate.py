@@ -41,7 +41,7 @@ import itertools
 import math
 from dataclasses import dataclass, fields
 from functools import lru_cache, partial
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -211,35 +211,41 @@ class MethodSummary:
     mean_rejections: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExperimentResult:
-    """All per-trial metrics of one experiment, keyed by method name."""
+    """All per-trial metrics of one experiment, one row per method.
+
+    ``fdp``, ``power`` (float64) and ``rejections`` (int64) are read-only
+    ``(methods, trials)`` arrays; row i holds what :func:`fdp_and_power`
+    gives for ``method_names[i]`` in each trial.
+    """
 
     method_names: tuple
-    per_trial: Mapping[str, tuple]
+    fdp: np.ndarray
+    power: np.ndarray
+    rejections: np.ndarray
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, ExperimentResult) and self.method_names == other.method_names
+                and np.array_equal(self.fdp, other.fdp) and np.array_equal(self.power, other.power)
+                and np.array_equal(self.rejections, other.rejections))
+
+    @property
+    def per_trial(self) -> dict[str, tuple]:
+        """One ``TrialMetrics`` per trial, keyed by method; built when read."""
+        return {name: tuple(map(TrialMetrics, fdp.tolist(), power.tolist(), rej.tolist()))
+                for name, fdp, power, rej in zip(self.method_names, self.fdp, self.power,
+                                                 self.rejections)}
 
     def trial_metrics(self, method: str) -> tuple:
         return self.per_trial[method]
 
     def summaries(self) -> list[MethodSummary]:
-        out = []
-        for name in self.method_names:
-            rows = self.per_trial[name]
-            fdp = np.array([r.fdp for r in rows])
-            power = np.array([r.power for r in rows])
-            rej = np.array([r.rejections for r in rows], dtype=np.float64)
-            out.append(
-                MethodSummary(
-                    method=name,
-                    trials=len(rows),
-                    mean_fdp=float(fdp.mean()),
-                    se_fdp=_standard_error(fdp),
-                    mean_power=float(power.mean()),
-                    se_power=_standard_error(power),
-                    mean_rejections=float(rej.mean()),
-                )
-            )
-        return out
+        rejections = self.rejections.astype(np.float64)
+        return [MethodSummary(name, fdp.size, float(fdp.mean()), _standard_error(fdp),
+                              float(power.mean()), _standard_error(power), float(rej.mean()))
+                for name, fdp, power, rej in zip(self.method_names, self.fdp, self.power,
+                                                 rejections)]
 
 
 def _standard_error(values: np.ndarray) -> float:
@@ -362,51 +368,47 @@ def _run_trials(worker: Callable[[int], Draws], trials: int) -> Iterator[Draws]:
             rows = []
 
 
-def _score_trials(blocks: Iterator[Draws],
+def _score_trials(blocks: Iterator[Draws], trials: int,
                   levels: Sequence[tuple[float, float]]) -> list[ExperimentResult]:
     """Score the four methods on each block of stacked trials, at each level.
 
     Gives, per ``(alpha, epsilon)`` in ``levels`` and trial for trial, the
     metrics of ``fdp_and_power`` on the rejection sets of ``bh`` at alpha,
     ``bh`` at alpha + epsilon, ``bh`` on the pooled p-values and fast
-    ``synth_bh``, with the same checks.  Every level's configs are built
-    before the first block is drawn, and within a block a method's scan at
-    a config that already ran is not run again.
+    ``synth_bh``, with the same checks.  The blocks hold ``trials`` trials.
+    Every level's configs are built before the first block is drawn, and
+    within a block a method's scan at a config that already ran is not run
+    again; its metrics are written straight into the result arrays.
     """
     configs = [(StepUpConfig(alpha=alpha), StepUpConfig(alpha=alpha + epsilon),
                 StepUpConfig(alpha=alpha, epsilon=epsilon)) for alpha, epsilon in levels]
-    per_level: list[dict[str, list[TrialMetrics]]] = [
-        {name: [] for name in METHOD_NAMES} for _ in levels]
+    shape = (len(levels), len(METHOD_NAMES), trials)
+    fdp, power, rejections = np.empty(shape), np.empty(shape), np.empty(shape, dtype=np.int64)
+    start = 0
     for p_real, p_pooled, null_mask in blocks:
+        stop = start + len(null_mask)
         n_alt = np.maximum(np.count_nonzero(~null_mask, axis=1), 1)
-        scored: dict[tuple, list[TrialMetrics]] = {}
-        for (plain, relaxed, guarded), per_trial in zip(configs, per_level):
+        scored: dict[tuple, tuple] = {}
+        for level, (plain, relaxed, guarded) in enumerate(configs):
             # bh is the guarded rule at epsilon = 0, where v = p.  The first
             # run, with p_pooled as q, checks both arrays; the others skip it.
-            runs = (
-                ("BH-real", p_real, p_pooled, plain),
-                ("BH-real+eps", p_real, p_real, relaxed),
-                ("BH-synth", p_pooled, p_pooled, plain),
-                ("SynthBH", p_real, p_pooled, guarded),
-            )
-            for name, p, q, config in runs:
-                key = (name, config.alpha, config.epsilon)
+            # The runs are in the order of METHOD_NAMES.
+            runs = ((p_real, p_pooled, plain), (p_real, p_real, relaxed),
+                    (p_pooled, p_pooled, plain), (p_real, p_pooled, guarded))
+            for row, (p, q, config) in enumerate(runs):
+                key = (row, config.alpha, config.epsilon)
                 if key not in scored:
                     _, rejected, _ = stepup_guarded(p, q, config, checked=bool(scored))
                     n_rej = np.count_nonzero(rejected, axis=1)
                     false_rej = np.count_nonzero(rejected & null_mask, axis=1)
-                    fdp = false_rej / np.maximum(n_rej, 1)
-                    power = (n_rej - false_rej) / n_alt
-                    scored[key] = list(map(TrialMetrics, fdp.tolist(), power.tolist(),
-                                           n_rej.tolist()))
-                per_trial[name] += scored[key]
-    return [
-        ExperimentResult(
-            method_names=METHOD_NAMES,
-            per_trial={name: tuple(rows) for name, rows in per_trial.items()},
-        )
-        for per_trial in per_level
-    ]
+                    scored[key] = (false_rej / np.maximum(n_rej, 1),
+                                   (n_rej - false_rej) / n_alt, n_rej)
+                (fdp[level, row, start:stop], power[level, row, start:stop],
+                 rejections[level, row, start:stop]) = scored[key]
+        start = stop
+    for values in (fdp, power, rejections):
+        values.flags.writeable = False
+    return [ExperimentResult(METHOD_NAMES, *arrays) for arrays in zip(fdp, power, rejections)]
 
 
 def run_bernoulli_experiment(config: SimConfig) -> ExperimentResult:
@@ -473,4 +475,4 @@ def run_experiments(configs: Iterable) -> Iterator[ExperimentResult]:
     for _, run in itertools.groupby(configs, _draws_key):
         run = list(run)
         blocks = _run_trials(partial(_TRIALS[type(run[0])], run[0]), run[0].trials)
-        yield from _score_trials(blocks, [(c.alpha, c.epsilon) for c in run])
+        yield from _score_trials(blocks, run[0].trials, [(c.alpha, c.epsilon) for c in run])
