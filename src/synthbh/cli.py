@@ -12,15 +12,15 @@ This module restates nothing that the library decides.  The flags of
 ``simulate`` are made from the fields of the config classes in
 ``_EXPERIMENTS``; an unset one takes the chosen class's default, and one
 that the chosen class lacks is an error.  The library checks every value;
-``main`` turns its ``ValueError`` into exit 2.
+``main`` turns its ``ValueError``, and a ``MemoryError``, into exit 2.
 
 Input is always headered CSV; summaries are emitted as JSON (output-only).
 CSV floats are written with 17 significant digits and JSON floats with
 ``repr``'s shortest round-trip digits, so written results parse back to
-the exact same values.  Exit codes: 0 success, 2 validation
-error, 3 I/O error.  All randomness flows from ``--seed``; when omitted a
-fresh seed is drawn and announced on stderr; simulation results depend on
-the seed alone.
+the exact same values.  Exit codes: 0 success, 2 validation error or a
+size that cannot be allocated, 3 I/O error.  All randomness flows from
+``--seed``; when omitted a fresh seed is drawn and announced on stderr;
+simulation results depend on the seed alone.
 """
 
 from __future__ import annotations
@@ -40,9 +40,9 @@ from .conformal import JitterSpec, ScoreBundle, outlier_pvalues, trim_by_score
 from .simulate import OutlierConfig, SimConfig, run_experiments
 from .stepup import StepUpConfig, synth_bh, weighted_synth_bh
 # EXIT_IO, EXIT_VALIDATION, read_pvalue_table and read_result_table stay importable from here.
-from .tables import EXIT_IO, EXIT_OK, EXIT_VALIDATION, ROWS, CliError, read_pvalue_cells, \
-    read_pvalue_table, read_result_table, read_role_scores, read_single_column, write_json, \
-    write_table  # noqa: F401
+from .tables import EXIT_IO, EXIT_OK, EXIT_VALIDATION, ROWS, CliError, _output, \
+    read_pvalue_cells, read_pvalue_table, read_result_table, read_role_scores, \
+    read_single_column, write_json, write_table  # noqa: F401
 
 NAIVE_BENCH_CAP = 20_000
 # Most points one --sweep range may expand to; each point is a whole experiment.
@@ -293,10 +293,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.format == "json":
         write_table(args.output, columns, "json", {**summary_payload, "per_trial": ROWS})
         return EXIT_OK
-    write_table(args.output, columns, "csv", {})
-    if args.output is not None:
-        stem = args.output[:-4] if args.output.endswith(".csv") else args.output
-        write_json(stem + ".summary.json", summary_payload)
+    # The table keeps its temporary name until the sidecar is in place, so a
+    # failure in either file leaves neither new one.
+    with _output(args.output) as table:
+        write_table(table, columns, "csv", {})
+        if args.output is not None:
+            table.flush()
+            stem = args.output[:-4] if args.output.endswith(".csv") else args.output
+            write_json(stem + ".summary.json", summary_payload)
     return EXIT_OK
 
 
@@ -428,6 +432,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run_size(args: argparse.Namespace) -> str:
+    """What sets the size of a run: its size flags, or its input files."""
+    if args.command == "bench":
+        return f"--sizes {args.sizes}"
+    if args.command == "simulate":
+        given = [(f.name, getattr(args, f.name), f.default)
+                 for f in dataclasses.fields(_EXPERIMENTS[args.experiment])
+                 if type(f.default) is int and f.name != "seed"]
+        flags = [f"--{name.replace('_', '-')} {default if value is None else value}"
+                 for name, value, default in given]
+        return " ".join(flags + ([] if args.sweep is None else [f"--sweep {args.sweep}"]))
+    paths = ([args.input, args.weights_file] if args.command == "test"
+             else [args.scores, args.real, args.synth, args.test])
+    sizes = []
+    for path in filter(None, paths):
+        try:
+            sizes.append(f"{path} ({os.stat(path).st_size} bytes)")
+        except OSError:
+            sizes.append(path)
+    return ", ".join(sizes)
+
+
 _DISPATCH = {
     "test": cmd_test,
     "outliers": cmd_outliers,
@@ -447,6 +473,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         # A ValueError is a failed library check, such as a config's.
         print(f"error: {exc}", file=sys.stderr)
         return getattr(exc, "exit_code", EXIT_VALIDATION)
+    except MemoryError:
+        # numpy refuses at once a size that cannot be allocated at all.
+        print(f"error: not enough memory for {args.command} {_run_size(args)}",
+              file=sys.stderr)
+        return EXIT_VALIDATION
     except BrokenPipeError as exc:
         # Unflushed output would fail again at exit; devnull takes it.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

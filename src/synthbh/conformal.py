@@ -140,14 +140,21 @@ def outlier_pvalues(bundle: ScoreBundle,
     """
     if jitter is not None:
         bundle = apply_jitter(bundle, jitter)
-    order = np.argsort(bundle.test_scores)
-    queries = bundle.test_scores[order]
-    count_real = _count_at_least(bundle.real_scores, queries)
-    count_all = count_real + _count_at_least(bundle.synth_scores, queries)
-    p_real = np.empty(bundle.n_test)
-    p_merged = np.empty(bundle.n_test)
-    p_real[order] = (count_real + 1) / (bundle.n_real + 1)
-    p_merged[order] = (count_all + 1) / (bundle.n_real + bundle.n_synth + 1)
+    return _outlier_pvalues(bundle.real_scores, bundle.synth_scores, bundle.test_scores)
+
+
+def _outlier_pvalues(real: np.ndarray, synth: np.ndarray,
+                     test: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`outlier_pvalues` on three score vectors that hold the
+    checks of :class:`ScoreBundle`, which this does not repeat."""
+    order = np.argsort(test)
+    queries = test[order]
+    count_real = _count_at_least(real, queries)
+    count_all = count_real + _count_at_least(synth, queries)
+    p_real = np.empty(test.size)
+    p_merged = np.empty(test.size)
+    p_real[order] = (count_real + 1) / (real.size + 1)
+    p_merged[order] = (count_all + 1) / (real.size + synth.size + 1)
     return p_real, p_merged
 
 

@@ -30,6 +30,12 @@ no draw.  Trials run serially; their p-values are stacked into blocks of
 about 16k hypotheses, and each method scores a whole block with one
 row-wise step-up scan.  No draw is kept beyond its block.
 
+Results: an ``ExperimentResult`` holds the ``fdp``, ``power`` and
+``rejections`` of every trial as read-only ``(methods, trials)`` arrays,
+which each block's scans write into; ``summaries()`` reduces their rows.
+``TrialMetrics`` objects are made only when ``trial_metrics`` or
+``per_trial`` is read.
+
 Binomial tail probabilities are computed by exact integer summation and
 a single correctly rounded float division, for n up to 2000; larger n
 raises rather than silently approximating.
@@ -45,7 +51,7 @@ from typing import Callable, Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
-from .conformal import ScoreBundle, outlier_pvalues, trim_by_score
+from .conformal import _outlier_pvalues, trim_by_score
 from .stepup import StepUpConfig, stepup_guarded
 
 MAX_EXACT_BINOMIAL_N = 2000
@@ -434,10 +440,11 @@ def _outlier_trial(config: OutlierConfig, trial: int) -> Draws:
     test_out = rng.normal(config.mu_out, 1.0, m_out)
     test_in = rng.normal(0.0, 1.0, m - m_out)
     synth = trim_by_score(np.concatenate([synth_clean, synth_bad]), config.rho)
-    bundle = ScoreBundle(real, synth, np.concatenate([test_out, test_in]))
+    test = np.concatenate([test_out, test_in])
     null_mask = np.ones(m, dtype=bool)
     null_mask[:m_out] = False
-    return (*outlier_pvalues(bundle), null_mask)
+    # Normal draws are finite one-dimensional vectors, as a ScoreBundle checks.
+    return (*_outlier_pvalues(real, synth, test), null_mask)
 
 
 def run_outlier_experiment(config: OutlierConfig) -> ExperimentResult:

@@ -499,8 +499,9 @@ def read_result_table(path: str):
 
 
 @contextlib.contextmanager
-def _output(path: str | None):
-    """A text handle on ``path``, or on stdout when ``path`` is None.
+def _output(path):
+    """A text handle on ``path``, on stdout when ``path`` is None, or
+    ``path`` itself, left open, when it is an open text handle.
 
     A new file, or a writable regular one, is written under a temporary
     name in its directory and moved over ``path`` only once complete, so a
@@ -509,8 +510,8 @@ def _output(path: str | None):
     read-only file) is opened in place, so that it behaves, and fails, as
     an ``open`` of ``path`` does.
     """
-    if path is None:
-        yield sys.stdout
+    if path is None or hasattr(path, "write"):
+        yield sys.stdout if path is None else path
         return
     try:
         mode = os.lstat(path).st_mode
@@ -741,9 +742,10 @@ def _write_rows(handle, columns: Mapping[str, Sequence], n: int, fmt: str,
 
 
 def write_table(
-    output: str | None, columns: Mapping[str, Sequence], fmt: str, summary: Mapping
+    output, columns: Mapping[str, Sequence], fmt: str, summary: Mapping
 ) -> None:
-    """Write a table of equal-length ``columns`` to ``output`` (stdout if None).
+    """Write a table of equal-length ``columns`` to ``output`` (stdout if
+    None), a path or an open text handle.
 
     A column is a numpy array of bools, integers or floats, TextCells,
     or a list of strings (for JSON, also of None or other scalars).  ``fmt="csv"``

@@ -250,17 +250,17 @@ class TestCmdOutliers:
             seen["synth"] = scores
             return _trim(scores, rho)
 
-        def stage(bundle, _stage=simulate.outlier_pvalues):
-            seen["bundle"] = bundle
-            return _stage(bundle)
+        def stage(real, synth, test, _stage=simulate._outlier_pvalues):
+            seen["real"], seen["test"] = real, test
+            return _stage(real, synth, test)
 
         monkeypatch.setattr(simulate, "trim_by_score", trim)
-        monkeypatch.setattr(simulate, "outlier_pvalues", stage)
+        monkeypatch.setattr(simulate, "_outlier_pvalues", stage)
         p_real, p_merged, _ = simulate._outlier_trial(simulate.OutlierConfig(
             n=60, n_synth=120, m=40, outlier_frac=0.1, contamination_frac=0.1,
             rho=0.05, seed=21, mu_out=3.0,
         ), 3)
-        scores = [seen["bundle"].real_scores, seen["synth"], seen["bundle"].test_scores]
+        scores = [seen["real"], seen["synth"], seen["test"]]
 
         def columns(scores, *flags):
             path = self.role_file(tmp_path, *scores)
@@ -568,6 +568,34 @@ class TestOutputFiles:
         assert info.value.exit_code == 3
         assert list(tmp_path.iterdir()) == []
 
+    SIM = ["simulate", "--trials", "2", "--m", "20", "--seed", "1"]
+
+    def test_sidecar_that_cannot_be_opened_leaves_no_table(self, tmp_path, capsys):
+        (tmp_path / "out.summary.json").mkdir()
+        assert run(self.SIM + ["--output", tmp_path / "out.csv"]) == 3
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'out.summary.json'}: Is a directory\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["out.summary.json"]
+
+    @pytest.mark.parametrize("older", [False, True], ids=["no-pair", "older-pair"])
+    def test_failed_sidecar_leaves_the_pair_as_it_was(self, tmp_path, monkeypatch, capsys,
+                                                     older):
+        if older:
+            (tmp_path / "out.csv").write_text("older table\n")
+            (tmp_path / "out.summary.json").write_text("{}\n")
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+        def full_disk(path, payload):
+            with tables._output(path) as handle:
+                handle.write("{")
+                raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli, "write_json", full_disk)
+        assert run(self.SIM + ["--output", tmp_path / "out.csv"]) == 3
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'out.summary.json'}: No space left on device\n")
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
     def test_closed_stdout_is_io_error(self):
         # The read end is closed before the child starts, so that its first
         # write to stdout fails.
@@ -805,3 +833,59 @@ class TestErrorBoundary:
         monkeypatch.setattr(cli, "write_table", boom)
         assert run([a.format(**files) for a in argv]) == 2
         assert capsys.readouterr().err == "error: boom\n"
+
+
+class TestOutOfMemory:
+    """A size that cannot be allocated at all exits 2 with one line naming it.
+
+    Each call runs in a child whose address space is capped at 4 GiB, so
+    the allocation is refused at once whatever the machine's overcommit
+    mode, and no large size is ever paged in.  One BLAS thread keeps the
+    stacks of a thread per core under the cap.
+    """
+
+    def run_capped(self, argv, cwd):
+        resource = pytest.importorskip("resource")
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+        src = os.path.dirname(os.path.dirname(synthbh.conformal.__file__))
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+               "MKL_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        return subprocess.run([sys.executable, "-m", "synthbh", *argv], capture_output=True,
+                              env=env, cwd=cwd, timeout=120, preexec_fn=cap)
+
+    @pytest.mark.parametrize("argv,sizes", [
+        (["simulate", "--m", "1000000000000", "--trials", "1", "--seed", "1"],
+         "simulate --n-real 200 --n-synth 1000 --m 1000000000000 --trials 1"),
+        (["simulate", "--experiment", "outlier", "--n", "1000000000000", "--trials", "1",
+          "--m", "10", "--seed", "1"],
+         "simulate --n 1000000000000 --n-synth 1000 --m 10 --trials 1"),
+        (["simulate", "--trials", "1", "--seed", "1", "--sweep", "m=10,1000000000000"],
+         "simulate --n-real 200 --n-synth 1000 --m 1000 --trials 1 "
+         "--sweep m=10,1000000000000"),
+        (["bench", "--sizes", "100000000000", "--repeats", "1"], "bench --sizes 100000000000"),
+    ], ids=["bernoulli-m", "outlier-n", "sweep-m", "bench-sizes"])
+    def test_size_flags_are_named(self, tmp_path, argv, sizes):
+        proc = self.run_capped(argv, tmp_path)
+        assert proc.returncode == 2
+        assert proc.stderr.decode() == f"error: not enough memory for {sizes}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_input_path_and_size_are_named(self, tmp_path):
+        big = tmp_path / "big.csv"
+        try:
+            with open(big, "wb"):
+                pass
+            os.truncate(big, 2 << 40)
+        except OSError:
+            pytest.skip("the filesystem refuses a sparse 2 TiB file")
+        try:
+            proc = self.run_capped(["test", str(big)], tmp_path)
+        finally:
+            big.unlink()
+        assert proc.returncode == 2
+        assert proc.stderr.decode() == (
+            f"error: not enough memory for test {big} ({2 << 40} bytes)\n")

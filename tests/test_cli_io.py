@@ -563,7 +563,7 @@ def test_outliers_command_bytes_match_reference(tmp_path):
         compared += 1
 
 
-@pytest.mark.parametrize("sweep", [None, "epsilon=0.05,0.2", "n_real=20:40:10"])
+@pytest.mark.parametrize("sweep", [None, "epsilon=0.05,0.2", "n_real=20:40:10", "trials=1:4:1"])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_simulate_bernoulli_bytes_match_reference(tmp_path, sweep, fmt):
     base = {"n_real": 30, "n_synth": 60, "m": 40, "frac_alt": 0.05, "q_alt": 0.6,
@@ -576,7 +576,7 @@ def test_simulate_bernoulli_bytes_match_reference(tmp_path, sweep, fmt):
     if sweep:
         argv += ["--sweep", sweep]
         param = sweep.split("=")[0]
-        values = [0.05, 0.2] if param == "epsilon" else [20, 30, 40]
+        values = {"epsilon": [0.05, 0.2], "n_real": [20, 30, 40], "trials": [1, 2, 3, 4]}[param]
         runs = [(v, {**base, param: v}) for v in values]
     points = [(v, run_bernoulli_experiment(SimConfig(**kw))) for v, kw in runs]
     assert main(argv) == 0

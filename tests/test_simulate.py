@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 from synthbh import (
     MIRROR_ALT,
+    MethodSummary,
     OutlierConfig,
     SimConfig,
     StepUpConfig,
@@ -22,7 +25,7 @@ from synthbh import (
     synth_bh,
 )
 from synthbh import conformal, simulate
-from synthbh.simulate import MAX_EXACT_BINOMIAL_N
+from synthbh.simulate import MAX_EXACT_BINOMIAL_N, run_experiments
 
 
 def enumerated_tail(n: int, x: int) -> tuple[float, float]:
@@ -241,18 +244,21 @@ class TestOutlierExperiment:
 
     def test_pvalues_computed_once_per_trial(self, monkeypatch):
         # One p-value stage per trial, which counts over each score set once.
+        # Only the trimmed auxiliary scores are checked: the trial's own
+        # draws go to the p-value stage without a ScoreBundle.
         calls = []
-        for module, name in ((simulate, "outlier_pvalues"), (conformal, "outlier_pvalues"),
-                             (conformal, "_count_at_least")):
+        for module, name in ((simulate, "_outlier_pvalues"), (conformal, "_outlier_pvalues"),
+                             (conformal, "_count_at_least"), (conformal, "_as_score_vector")):
             original = getattr(module, name)
 
-            def counted(*args, _name=name, _original=original):
+            def counted(*args, _name=name, _original=original, **kwargs):
                 calls.append(_name)
-                return _original(*args)
+                return _original(*args, **kwargs)
 
             monkeypatch.setattr(module, name, counted)
         run_outlier_experiment(OutlierConfig(n=30, n_synth=60, m=20, trials=3, seed=12))
-        assert sorted(calls) == ["_count_at_least"] * 6 + ["outlier_pvalues"] * 3
+        assert sorted(calls) == (["_as_score_vector"] * 3 + ["_count_at_least"] * 6
+                                 + ["_outlier_pvalues"] * 3)
 
 
 def oracle_metrics(draws, alpha, epsilon):
@@ -354,3 +360,72 @@ class TestStackedScoring:
         draws = [(np.array([0.1]), np.array([0.1]), np.ones(1, dtype=bool))]
         with pytest.raises(ValueError):
             stacked_metrics(draws, alpha, epsilon)
+
+
+def oracle_summaries(per_trial):
+    """Summaries reduced from TrialMetrics objects, one array per metric."""
+    def standard_error(values):
+        return 0.0 if values.size < 2 else float(values.std(ddof=1) / math.sqrt(values.size))
+
+    out = []
+    for name, rows in per_trial.items():
+        fdp = np.array([r.fdp for r in rows])
+        power = np.array([r.power for r in rows])
+        rej = np.array([r.rejections for r in rows], dtype=np.float64)
+        out.append(MethodSummary(name, len(rows), float(fdp.mean()), standard_error(fdp),
+                                 float(power.mean()), standard_error(power),
+                                 float(rej.mean())))
+    return out
+
+
+def bits(summaries):
+    return [[v.hex() if isinstance(v, float) else v for v in vars(s).values()]
+            for s in summaries]
+
+
+class TestResultArrays:
+    """ExperimentResult holds (methods, trials) arrays; summaries reduce them."""
+
+    CONFIGS = [
+        SimConfig(n_real=30, n_synth=60, m=50, trials=10, seed=15),
+        OutlierConfig(n=40, n_synth=80, m=50, trials=10, seed=16, outlier_frac=0.2),
+    ]
+    LEVELS = [(0.05, 0.1), (0.1, 0.1), (0.2, 0.0), (0.2, 0.3)]
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=["bernoulli", "outlier"])
+    def test_arrays_are_read_only_method_rows(self, config):
+        result = next(run_experiments([config]))
+        for name, dtype in (("fdp", np.float64), ("power", np.float64),
+                            ("rejections", np.int64)):
+            values = getattr(result, name)
+            assert (values.shape, values.dtype) == ((4, 10), dtype)
+            with pytest.raises(ValueError, match="read-only"):
+                values[0, 0] = 1
+        for row, name in enumerate(result.method_names):
+            assert result.trial_metrics(name) == tuple(map(
+                TrialMetrics, result.fdp[row], result.power[row], result.rejections[row]))
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=["bernoulli", "outlier"])
+    def test_level_sweep_summaries_match_oracle_bits(self, monkeypatch, config):
+        # Three trials a block, so that each block writes at an offset and
+        # the last block is short.
+        monkeypatch.setattr(simulate, "BLOCK_HYPOTHESES", 3 * config.m)
+        trial = simulate._TRIALS[type(config)]
+        draws = [trial(config, t) for t in range(config.trials)]
+        configs = [dataclasses.replace(config, alpha=a, epsilon=e) for a, e in self.LEVELS]
+        results = list(run_experiments(configs))
+        assert len(results) == len(self.LEVELS)
+        for (alpha, epsilon), result in zip(self.LEVELS, results):
+            want = oracle_metrics(draws, alpha, epsilon)
+            assert result.per_trial == want
+            assert bits(result.summaries()) == bits(oracle_summaries(want))
+            assert result == next(run_experiments([dataclasses.replace(
+                config, alpha=alpha, epsilon=epsilon)]))
+
+    def test_equality_compares_every_array(self):
+        result = next(run_experiments([self.CONFIGS[0]]))
+        for name in ("fdp", "power", "rejections"):
+            values = getattr(result, name).copy()
+            values[3, 9] += 1
+            assert dataclasses.replace(result, **{name: values}) != result
+        assert dataclasses.replace(result, method_names=result.method_names[::-1]) != result
