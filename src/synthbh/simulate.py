@@ -21,8 +21,8 @@ The config's fields are the experiment's parameters, in the order that
 the ``simulate`` summary lists them; the CLI sweeps every field but
 ``seed``.  ``run_experiments(configs)`` runs a list of configs:
 consecutive ones that differ only in ``alpha`` and ``epsilon`` share one
-``_run_trials`` pass, scored at each of their levels by
-``_score_trials(blocks, levels)``.
+``_run_trials`` pass, scored at their levels by
+``_score_trials(blocks, trials, levels)``.
 
 Reproducibility: every trial draws from ``default_rng([seed, trial])``,
 in trial order, so results depend on the seed alone, and the levels enter

@@ -874,7 +874,9 @@ class TestOutOfMemory:
         assert proc.stderr.decode() == f"error: not enough memory for {sizes}\n"
         assert list(tmp_path.iterdir()) == []
 
-    def test_input_path_and_size_are_named(self, tmp_path):
+    @pytest.mark.parametrize("command", [["test"], ["outliers", "--scores"]],
+                             ids=["test", "outliers"])
+    def test_input_path_and_size_are_named(self, tmp_path, command):
         big = tmp_path / "big.csv"
         try:
             with open(big, "wb"):
@@ -883,9 +885,9 @@ class TestOutOfMemory:
         except OSError:
             pytest.skip("the filesystem refuses a sparse 2 TiB file")
         try:
-            proc = self.run_capped(["test", str(big)], tmp_path)
+            proc = self.run_capped([*command, str(big)], tmp_path)
         finally:
             big.unlink()
         assert proc.returncode == 2
         assert proc.stderr.decode() == (
-            f"error: not enough memory for test {big} ({2 << 40} bytes)\n")
+            f"error: not enough memory for {command[0]} {big} ({2 << 40} bytes)\n")
