@@ -1,21 +1,24 @@
 """CSV and JSON tables for the command line, read and written by whole columns.
 
 The three readers share one column reader, :func:`_read_columns`.  It
-reads the file as bytes into a buffer padded on both sides, so that the
-float kernel may read past either end, and skips a leading UTF-8
-byte-order mark.  A plain file (ASCII, no quote, no NUL, every carriage
-return just before a line feed, the same number of fields on every line,
-no blank line; see :func:`_plain_header` and :func:`_cut`) is cut with
-numpy: every separator is found at once, and each column becomes two
-arrays, where its cells start and end.  Ids are gathered into one buffer
-and kept as bytes (:class:`TextCells`) all the way to the writer, roles
-are matched on their bytes, and floats are parsed from the bytes by
+reads the file once, as bytes, into a buffer padded on both sides, so
+that the float kernel may read past either end, and skips a leading UTF-8
+byte-order mark.  One check, :func:`_cut`, decides whether the header and
+body together are plain (ASCII, no quote, no NUL, every carriage return
+just before a line feed, as many fields on every line as on the first, no
+blank line) and cuts a plain file with numpy: every separator is found at
+once, and each column becomes two arrays, where its cells start and end,
+the header being row 0.  Ids are gathered into one buffer and kept as
+bytes (:class:`TextCells`) all the way to the writer, roles are matched on
+their bytes, and floats are parsed from the bytes by
 :func:`~synthbh.floattext.parse_floats`, so no Python object is made per
-cell.  Any other file goes through the csv module, which gives the same
-cells on a plain file.  Each column is converted and checked as a whole,
-with one pass per column kind.  Only when a column fails, or a record has
-the wrong number of fields, are the rows walked in order, one cell at a
-time, to raise the first diagnostic.
+cell.  Any other file goes through :func:`_csv_records`, the one csv
+module path, which :func:`read_result_table` uses too: it decodes the
+bytes already read, as ``open`` would, and gives the same cells on a plain
+file.  Each column is converted and checked as a whole, with one pass per
+column kind.  Only when a column fails, or a record has the wrong number
+of fields, are the rows walked in order, one cell at a time, to raise the
+first diagnostic.
 
 :func:`write_table` writes exactly the bytes ``csv.writer`` and
 ``json.dump(..., indent=2)`` would, except that a CSV field holding a
@@ -46,6 +49,7 @@ import csv
 import io
 import itertools
 import json
+import locale
 import math
 import os
 import secrets
@@ -138,114 +142,76 @@ def _read_bytes(path: str) -> tuple[bytearray, int]:
     return data, size
 
 
-def _read_text(path: str, content: bytes) -> tuple[list[str], str]:
-    """The header fields, stripped, and the rest of the nonempty
-    ``content`` as one string, decoded as ``open`` decodes a text file."""
-    handle = io.TextIOWrapper(io.BytesIO(content), newline="")
+def _csv_records(path: str, content, offset: int):
+    """The records of ``content``, the bytes of ``path`` from file offset
+    ``offset`` on, as ``csv.reader`` parses them.
+
+    The bytes are decoded at once, as ``open`` decodes a text file, so an
+    undecodable byte is named, with its row and file offset, before any
+    record is parsed; the records are then parsed one at a time, and a csv
+    error names its row.
+    """
+    encoding = locale.getpreferredencoding(False)
     try:
-        header = next(csv.reader(handle))
-        body = handle.read()
-    except csv.Error as exc:
-        raise CliError(f"{path}: row 1: {exc}") from None
+        text = str(content, encoding)
     except UnicodeDecodeError as exc:
-        raise _undecodable(path, exc) from None
-    return [h.strip() for h in header], body
-
-
-def _undecodable(path: str, exc: UnicodeDecodeError) -> CliError:
-    """Name the row that holds the first byte ``exc.encoding`` cannot decode."""
-    try:
-        with open(path, "rb") as handle:
-            data = handle.read()
-        data.decode(exc.encoding)
-    except UnicodeDecodeError as first:
         # A sentinel in place of the bad byte lands in the record that holds it.
-        prefix = data[: first.start].decode(exc.encoding) + "?"
+        prefix = str(content[:exc.start], encoding) + "?"
         where = ""
-        try:
+        with contextlib.suppress(csv.Error):
             where = f" row {sum(1 for _ in csv.reader(io.StringIO(prefix, newline='')))}:"
-        except csv.Error:
-            pass
-        return CliError(
-            f"{path}:{where} byte 0x{data[first.start]:02x} at offset "
-            f"{first.start} is not valid {exc.encoding} text"
-        )
-    except OSError:
-        pass
-    return CliError(f"{path}: not valid {exc.encoding} text")
-
-
-def _records(path: str, body: str) -> list[list[str]]:
-    """The data records of ``body`` as ``csv.reader`` parses them."""
-    rows: list[list[str]] = []
+        raise CliError(f"{path}:{where} byte 0x{content[exc.start]:02x} at offset "
+                       f"{offset + exc.start} is not valid {exc.encoding} text") from None
+    row = 1
     try:
-        for row in csv.reader(io.StringIO(body, newline="")):
-            rows.append(row)
+        for record in csv.reader(io.StringIO(text, newline="")):
+            yield record
+            row += 1
     except csv.Error as exc:
-        raise CliError(f"{path}: row {len(rows) + 2}: {exc}") from None
-    return rows
+        raise CliError(f"{path}: row {row}: {exc}") from None
 
 
-def _plain_header(data: bytearray, begin: int, end: int) -> tuple[list[str], int] | None:
-    """The stripped header of the plain file ``data[begin:end]`` and where its body starts, or None.
+def _cut(data: bytearray, begin: int, end: int) -> list | None:
+    """The cells of each column of the plain file ``data[begin:end]``, or None.
 
-    A file is plain when it is ASCII and holds no quote and no NUL, and
-    its header line holds no carriage return but one just before its line
-    feed and is within the csv field size limit.  ``csv.reader`` reads a
-    carriage return and line feed as one line end, so the header is that
-    line split at commas.
+    A column is a pair of arrays: where each of its cells starts and ends;
+    row 0 is the header.  A file is plain when it is ASCII and holds no
+    quote and no NUL, every carriage return stands just before a line feed
+    (csv reads the pair as one line end), every line holds as many fields
+    as the first, no line is blank when that is one field (csv reads a
+    blank line as a record of no fields) and no line is longer than the
+    csv field size limit.  The separators are found with numpy; a line
+    feed after the last line is written into the padding (a carriage
+    return that ends the file then ends its last line, as csv reads it).
     """
     if not data.isascii() or data.find(b'"', begin, end) >= 0 or data.find(b"\0", begin, end) >= 0:
         return None
-    stop = data.find(b"\n", begin, end)
-    stop = end if stop < 0 else stop
-    line = data[begin:stop]
-    if line.endswith(b"\r") and stop < end:
-        del line[-1]
-    if b"\r" in line or len(line) > csv.field_size_limit():
-        return None
-    return [h.strip() for h in line.decode("ascii").split(",")] if line else [], stop + 1
-
-
-def _cut(data: bytearray, start: int, end: int, width: int) -> list | None:
-    """The cells of each column of the plain body ``data[start:end]``, or None.
-
-    A column is a pair of arrays: where each of its cells starts and ends.
-    Returns None unless every carriage return stands just before a line
-    feed (csv reads the pair as one line end), every line holds exactly
-    ``width`` fields, no line is blank (csv reads it as a record of no
-    fields) and no line is longer than the csv field size limit.  The
-    separators are found with numpy; a line feed after the last line is
-    written into the padding (a carriage return that ends the file then
-    ends its last line, as csv reads it).
-    """
-    if start >= end:
-        return [(np.empty(0, np.int64),) * 2] * width
     if data[end - 1] != ord("\n"):
         data[end] = ord("\n")
         end += 1
+    width = data.count(b",", begin, data.find(b"\n", begin, end)) + 1
     u8 = np.frombuffer(data, np.uint8)
-    body = u8[start:end]
-    mask = body == ord("\n")
+    text = u8[begin:end]
+    mask = text == ord("\n")
     rows = np.count_nonzero(mask)
-    mask |= body == ord(",")
+    mask |= text == ord(",")
     seps = np.flatnonzero(mask)
     del mask
     if seps.size != rows * width:
         return None
-    seps += start
+    seps += begin
     line_ends = seps[width - 1::width]
     if not (u8.take(line_ends) == ord("\n")).all():
         return None
     line_starts = np.empty(rows, np.int64)
-    line_starts[0] = start
+    line_starts[0] = begin
     line_starts[1:] = line_ends[:-1] + 1
     if (line_ends - line_starts).max() > csv.field_size_limit():
         return None
     last = line_ends
-    if data.find(b"\r", start, end) >= 0:
+    if data.find(b"\r", begin, end) >= 0:
         crlf = u8.take(line_ends - 1) == ord("\r")
-        if np.count_nonzero(body == ord("\r")) != np.count_nonzero(crlf):
+        if np.count_nonzero(text == ord("\r")) != np.count_nonzero(crlf):
             return None
         last = line_ends - crlf
     if width == 1 and (last == line_starts).any():
@@ -371,13 +337,13 @@ def _read_columns(path: str, headers: Sequence[list[str]], expected: str,
     The stripped header must be one of ``headers`` (``expected`` spells
     them in the diagnostic); column k of a header has kind ``kinds[k]``.
     A UTF-8 byte-order mark at the start of the file is skipped.  A plain
-    file (see :func:`_plain_header` and :func:`_cut`) is cut into columns
-    of byte ranges, and its text columns come back as TextCells; any other
-    goes through the csv module, and its text columns as lists.  Each
-    column is converted and checked as a whole.  Only when one fails, or a
-    record has the wrong number of fields, are the rows walked in order,
-    to raise the first diagnostic: a bad cell before the first bad record,
-    in column order within its row, or else that record.
+    file (see :func:`_cut`) is cut into columns of byte ranges, and its
+    text columns come back as TextCells; any other goes through
+    :func:`_csv_records`, and its text columns as lists.  Each column is
+    converted and checked as a whole.  Only when one fails, or a record
+    has the wrong number of fields, are the rows walked in order, to raise
+    the first diagnostic: a bad cell before the first bad record, in
+    column order within its row, or else that record.
     """
     data, size = _read_bytes(path)
     begin, end = PAD, PAD + size
@@ -387,27 +353,25 @@ def _read_columns(path: str, headers: Sequence[list[str]], expected: str,
         begin += len(_BOM)
     if begin == end:
         raise CliError(f"{path}: empty file")
-    plain = _plain_header(data, begin, end)
-    if plain is None:
-        header, body = _read_text(path, data[begin:end])
+    cut = _cut(data, begin, end)
+    if cut is None:
+        records = _csv_records(path, memoryview(data)[begin:end], begin - PAD)
+        header = [h.strip() for h in next(records)]
     else:
-        header, start = plain
+        header = [data[starts[0]:ends[0]].decode("ascii").strip() for starts, ends in cut]
     if header not in headers:
         raise CliError(f"{path}: expected header {expected}, got {','.join(header)}")
     width = len(header)
-    cut = None if plain is None else _cut(data, start, end, width)
     ragged = None
     if cut is not None:
+        cut = [(starts[1:], ends[1:]) for starts, ends in cut]
         values = [_convert_cut(kind, data, *cells) for kind, cells in zip(kinds, cut)]
         rows = len(cut[0][0])
 
         def text(k: int, row: int) -> str:
             return data[cut[k][0][row]:cut[k][1][row]].decode("ascii")
     else:
-        if plain is not None:
-            body = data[start:end].decode("ascii")
-        records = _records(path, body)
-        del body
+        records = list(records)
         good = next((i for i, row in enumerate(records) if len(row) != width), len(records))
         if good < len(records):
             fields = "field" if width == 1 else "fields"
@@ -474,15 +438,8 @@ def read_result_table(path: str):
     ``# key=value`` comment line if present).  Quoted fields may span
     lines; blank lines are skipped.
     """
-    try:
-        with open(path, newline="") as handle:
-            rows = [row for row in csv.reader(handle) if row]
-    except OSError as exc:
-        raise CliError(f"{path}: {exc.strerror or exc}", EXIT_IO) from exc
-    except UnicodeDecodeError as exc:
-        raise _undecodable(path, exc) from None
-    except csv.Error as exc:
-        raise CliError(f"{path}: {exc}") from None
+    data, size = _read_bytes(path)
+    rows = [row for row in _csv_records(path, memoryview(data)[PAD:PAD + size], 0) if row]
     summary: dict[str, str] = {}
     if rows and len(rows[-1]) == 1 and rows[-1][0].startswith("#"):
         for token in rows.pop()[0].lstrip("# ").split():

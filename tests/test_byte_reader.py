@@ -72,12 +72,12 @@ def plain_files(tmp_path, newline, final):
 @pytest.mark.parametrize("final", [True, False], ids=["final-newline", "no-final-newline"])
 @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
 def test_plain_files_skip_the_csv_module(tmp_path, monkeypatch, newline, final):
-    def refuse(path, body):
-        raise AssertionError(f"{path}: a plain body reached the csv module")
+    def refuse(path, content, offset):
+        raise AssertionError(f"{path}: a plain file reached the csv module")
 
     cases = list(plain_files(tmp_path, newline, final))
     wants = [outcome(ref, path, *args) for _, ref, path, args in cases]
-    monkeypatch.setattr(tables, "_records", refuse)
+    monkeypatch.setattr(tables, "_csv_records", refuse)
     for (reader, _, path, args), want in zip(cases, wants):
         got = outcome(reader, path, *args)
         assert want[0] == got[0] and same(want[1], got[1]), (path, want, got)
@@ -98,13 +98,13 @@ def test_other_files_take_the_csv_module(tmp_path, monkeypatch, text):
     path.write_bytes(text.encode())
     want = outcome(ref_read_pvalue_table, str(path))
     calls = []
-    records = tables._records
+    records = tables._csv_records
 
     def counted(*args):
         calls.append(args)
         return records(*args)
 
-    monkeypatch.setattr(tables, "_records", counted)
+    monkeypatch.setattr(tables, "_csv_records", counted)
     got = outcome(read_pvalue_table, str(path))
     assert calls
     assert want[0] == got[0] and same(want[1], got[1]), (want, got)
@@ -114,6 +114,6 @@ def test_mixed_line_ends_are_plain(tmp_path, monkeypatch):
     path = tmp_path / "m.csv"
     path.write_bytes(b"id,p_real,p_synth\r\na,0.5,0.25\nb,0.125,1\r\nc,0,1e-3")
     want = outcome(ref_read_pvalue_table, str(path))
-    monkeypatch.setattr(tables, "_records", None)
+    monkeypatch.setattr(tables, "_csv_records", None)
     got = outcome(read_pvalue_table, str(path))
     assert want[0] == got[0] == "ok" and same(want[1], got[1])
