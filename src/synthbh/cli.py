@@ -37,7 +37,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .conformal import JitterSpec, ScoreBundle, outlier_pvalues, trim_by_score
-from .simulate import OutlierConfig, SimConfig, run_experiments
+from .simulate import MAX_COUNT, OutlierConfig, SimConfig, run_experiments
 from .stepup import StepUpConfig, synth_bh, weighted_synth_bh
 # EXIT_IO, EXIT_VALIDATION, read_pvalue_table and read_result_table stay importable from here.
 from .tables import EXIT_IO, EXIT_OK, EXIT_VALIDATION, ROWS, CliError, _output, \
@@ -127,6 +127,8 @@ def _load_bundle(args: argparse.Namespace) -> ScoreBundle:
 
 def cmd_outliers(args: argparse.Namespace) -> int:
     """Conformal outlier detection over score files."""
+    if args.seed is not None and not args.jitter:
+        raise CliError("--seed is only used with --jitter")
     bundle = _load_bundle(args)
     trimmed = trim_by_score(bundle.synth_scores, args.rho)
     working = dataclasses.replace(bundle, synth_scores=trimmed)
@@ -317,6 +319,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     for m in sizes:
         if m < 1:
             raise CliError(f"sizes must be >= 1, got {m}")
+        if m > MAX_COUNT:
+            raise CliError(f"sizes must be <= {MAX_COUNT}, got {m}")
     configs = {
         mode: StepUpConfig(alpha=args.alpha, epsilon=args.epsilon, mode=mode)
         for mode in ("fast", "naive")

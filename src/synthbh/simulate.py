@@ -66,6 +66,10 @@ METHOD_NAMES = ("BH-real", "BH-real+eps", "BH-synth", "SynthBH")
 # takes; the number of trials per block follows from m alone.
 BLOCK_HYPOTHESES = 16384
 
+# Largest count a config accepts: numpy sizes are int64, and a larger one
+# would fail inside numpy with a message that names no field.
+MAX_COUNT = 2**63 - 1
+
 # One trial's draws: real p-values, pooled p-values and the null mask.
 Draws = tuple[np.ndarray, np.ndarray, np.ndarray]
 
@@ -75,11 +79,13 @@ def _check_probability(name: str, value: float) -> None:
         raise ValueError(f"{name} must be in [0, 1], got {value!r}")
 
 
-def _check_count(name: str, value: int, minimum: int = 1) -> None:
+def _check_count(name: str, value: int, minimum: int = 1, maximum: float = MAX_COUNT) -> None:
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
+    if value > maximum:
+        raise ValueError(f"{name} must be <= {maximum}, got {value!r}")
 
 
 def _check_levels(alpha: float, epsilon: float) -> None:
@@ -140,7 +146,7 @@ class SimConfig:
         else:
             _check_probability("q_synth_null", self.q_synth_null)
         _check_levels(self.alpha, self.epsilon)
-        _check_count("seed", self.seed, minimum=0)
+        _check_count("seed", self.seed, minimum=0, maximum=math.inf)
 
     @property
     def n_alternatives(self) -> int:
@@ -187,7 +193,7 @@ class OutlierConfig:
         _check_levels(self.alpha, self.epsilon)
         if not math.isfinite(self.mu_out):
             raise ValueError(f"mu_out must be finite, got {self.mu_out!r}")
-        _check_count("seed", self.seed, minimum=0)
+        _check_count("seed", self.seed, minimum=0, maximum=math.inf)
 
 
 @dataclass(frozen=True)
@@ -239,12 +245,15 @@ class ExperimentResult:
     @property
     def per_trial(self) -> dict[str, tuple]:
         """One ``TrialMetrics`` per trial, keyed by method; built when read."""
-        return {name: tuple(map(TrialMetrics, fdp.tolist(), power.tolist(), rej.tolist()))
-                for name, fdp, power, rej in zip(self.method_names, self.fdp, self.power,
-                                                 self.rejections)}
+        return {name: self.trial_metrics(name) for name in self.method_names}
 
     def trial_metrics(self, method: str) -> tuple:
-        return self.per_trial[method]
+        """One ``TrialMetrics`` per trial of ``method``; built when called."""
+        if method not in self.method_names:
+            raise KeyError(method)
+        row = self.method_names.index(method)
+        return tuple(map(TrialMetrics, self.fdp[row].tolist(), self.power[row].tolist(),
+                         self.rejections[row].tolist()))
 
     def summaries(self) -> list[MethodSummary]:
         rejections = self.rejections.astype(np.float64)

@@ -9,6 +9,8 @@ diagnostics.
 
 from __future__ import annotations
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -117,3 +119,29 @@ def test_mixed_line_ends_are_plain(tmp_path, monkeypatch):
     monkeypatch.setattr(tables, "_csv_records", None)
     got = outcome(read_pvalue_table, str(path))
     assert want[0] == got[0] == "ok" and same(want[1], got[1])
+
+
+@pytest.mark.parametrize("reader", [read_pvalue_table, tables.read_result_table])
+def test_undecodable_file_is_opened_once(tmp_path, monkeypatch, reader):
+    path = tmp_path / "u.csv"
+    path.write_bytes(b"id,p_real,p_synth\nh1,0.1,0.2\nh\xff,0.1,0.2\n")
+    opened = []
+
+    def counted(*args, **kwargs):
+        opened.append(args)
+        return open(*args, **kwargs)
+
+    monkeypatch.setattr(tables, "open", counted, raising=False)
+    with pytest.raises(CliError) as info:
+        reader(str(path))
+    assert str(info.value) == f"{path}: row 3: byte 0xff at offset 30 is not valid utf-8 text"
+    assert len(opened) == 1
+
+
+def test_result_table_names_the_row_of_a_field_over_the_limit(tmp_path):
+    path = tmp_path / "r.csv"
+    limit = csv.field_size_limit()
+    path.write_text(f"id,v\na,1\n\n\"{'x' * (limit + 1)}\",2\n")
+    with pytest.raises(CliError) as info:
+        tables.read_result_table(str(path))
+    assert str(info.value) == f"{path}: row 4: field larger than field limit ({limit})"

@@ -192,6 +192,12 @@ class TestCmdOutliers:
         assert run(["outliers", "--scores", path, "--jitter", "--seed", "-1"]) == 2
         assert "--seed must be >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", ["5", "-5"])
+    def test_seed_without_jitter_names_flag(self, tmp_path, capsys, seed):
+        path = self.role_file(tmp_path, real=[1.0, 2.0], synth=[], test=[3.0])
+        assert run(["outliers", "--scores", path, "--seed", seed]) == 2
+        assert capsys.readouterr() == ("", "error: --seed is only used with --jitter\n")
+
     def test_single_outlier_detected(self, tmp_path):
         path = self.role_file(
             tmp_path,
@@ -833,6 +839,30 @@ class TestErrorBoundary:
         monkeypatch.setattr(cli, "write_table", boom)
         assert run([a.format(**files) for a in argv]) == 2
         assert capsys.readouterr().err == "error: boom\n"
+
+
+class TestHugeSizes:
+    """A size beyond int64 is refused by its field's check, before any allocation."""
+
+    BIG = 10**30
+    MAX = 2**63 - 1
+
+    @pytest.mark.parametrize("argv,message", [
+        (["simulate", "--trials", str(BIG), "--m", "5", "--seed", "1"],
+         f"trials must be <= {MAX}, got {BIG}"),
+        (["simulate", "--m", str(2**63), "--trials", "1", "--seed", "1"],
+         f"m must be <= {MAX}, got {2**63}"),
+        (["simulate", "--experiment", "outlier", "--n", str(BIG), "--seed", "1"],
+         f"n must be <= {MAX}, got {BIG}"),
+        (["simulate", "--trials", "1", "--seed", "1", "--sweep", "m=5,1e30"],
+         f"sweep m={int(1e30)}: m must be <= {MAX}, got {int(1e30)}"),
+        (["bench", "--sizes", f"5,{BIG}", "--repeats", "1"], f"sizes must be <= {MAX}, got {BIG}"),
+        (["bench", "--sizes", str(2**63), "--repeats", "1"],
+         f"sizes must be <= {MAX}, got {2**63}"),
+    ], ids=["trials", "m", "outlier-n", "sweep-m", "bench-sizes", "bench-2**63"])
+    def test_field_is_named(self, capsys, argv, message):
+        assert run(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 class TestOutOfMemory:

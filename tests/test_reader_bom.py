@@ -7,6 +7,10 @@ byte-level path, and reads the same values as from the file without it.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -81,3 +85,30 @@ def test_test_command_reads_a_bom_file(tmp_path, capsys):
     assert main(["test", bom, "--alpha", "0.2"]) == 0
     assert capsys.readouterr().out == want
     assert np.array_equal(read_pvalue_table(bom)[1], read_pvalue_table(plain)[1])
+
+
+def test_bom_file_with_crlf_only_in_its_header_is_plain(tmp_path, monkeypatch):
+    text = b"id,p_real,p_synth\r\nh1,0.25,0.5\nh2,1e-3,0.125\n"
+    want = read_pvalue_table(write(tmp_path, "lf.csv", text.replace(b"\r", b"")))
+    monkeypatch.setattr(tables, "_csv_records", no_csv_module)
+    assert same(want, read_pvalue_table(write(tmp_path, "bom.csv", BOM + text)))
+
+
+def test_undecodable_row_counts_records_after_the_bom(tmp_path):
+    # Read after the mark, the quoted first field spans three lines.
+    path = write(tmp_path, "bom.csv", BOM + b'"id\n\n",p_real,p_synth\na\xff,0.5,0.5\n')
+    with pytest.raises(CliError) as info:
+        read_pvalue_table(path)
+    assert str(info.value) == f"{path}: row 2: byte 0xff at offset 26 is not valid utf-8 text"
+
+
+def test_undecodable_byte_after_the_bom_in_an_ascii_locale(tmp_path):
+    path = write(tmp_path, "bom.csv", BOM + b"id,p_real,p_synth\na\xc3\xa9,0.5,0.5\n")
+    src = os.path.dirname(os.path.dirname(tables.__file__))
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "synthbh", "test", path],
+                          capture_output=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.decode() == (f"error: {path}: row 2: byte 0xc3 at offset 22 "
+                                    "is not valid ascii text\n")

@@ -159,6 +159,19 @@ class TestSimConfig:
         with pytest.raises(ValueError, match="trials"):
             SimConfig(trials=0)
 
+    @pytest.mark.parametrize("config_class, name", [
+        (SimConfig, "trials"), (SimConfig, "m"), (OutlierConfig, "n"),
+        (OutlierConfig, "n_synth"), (OutlierConfig, "trials")])
+    def test_counts_fit_int64(self, config_class, name):
+        # Only checked, never allocated: building a config draws nothing.
+        assert getattr(config_class(**{name: simulate.MAX_COUNT}), name) == 2**63 - 1
+        for value in (2**63, 10**30):
+            with pytest.raises(ValueError, match=f"^{name} must be <= {2**63 - 1}, got {value}$"):
+                config_class(**{name: value})
+
+    def test_seed_is_not_bounded(self):
+        assert SimConfig(seed=10**30).seed == OutlierConfig(seed=10**30).seed == 10**30
+
 
 class TestBernoulliExperiment:
     SMALL = dict(n_real=40, n_synth=80, m=60, trials=8)
@@ -429,3 +442,24 @@ class TestResultArrays:
             values[3, 9] += 1
             assert dataclasses.replace(result, **{name: values}) != result
         assert dataclasses.replace(result, method_names=result.method_names[::-1]) != result
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=["bernoulli", "outlier"])
+    def test_trial_metrics_builds_only_its_method(self, monkeypatch, config):
+        result = next(run_experiments([config]))
+        want = result.per_trial
+        built = []
+
+        def counted(*args):
+            built.append(args)
+            return TrialMetrics(*args)
+
+        monkeypatch.setattr(simulate, "TrialMetrics", counted)
+        for name in result.method_names:
+            built.clear()
+            got = result.trial_metrics(name)
+            assert len(built) == config.trials
+            assert got == want[name]
+            assert [tuple(map(type, dataclasses.astuple(row))) for row in got] == \
+                [(float, float, int)] * config.trials
+        with pytest.raises(KeyError):
+            result.trial_metrics("BH")
